@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: build test check vet race lint bench bench-obs bench-sim bench-detect bench-gate fuzz clean
+.PHONY: build test check vet race lint perfbench-check bench bench-obs bench-sim bench-detect bench-gate fuzz clean
 
 # FUZZTIME bounds each fuzz target's smoke run (the committed seed
 # corpora under internal/truenorth/testdata/fuzz always run as plain
@@ -39,6 +39,13 @@ lint:
 	$(GO) run ./cmd/pcnn-lint -model builtin
 
 check: build vet lint test race
+
+# perfbench-check vets and self-tests the repository benchmark. It is
+# a Go module of its own (replace repro => ../), so go vet ./... and
+# go test ./... never compile it, yet it calls the public extractor,
+# partition and detector APIs.
+perfbench-check:
+	cd perfbench && $(GO) vet . && $(GO) test .
 
 # bench regenerates the paper's tables/figures as benchmarks.
 bench:

@@ -377,10 +377,10 @@ func BenchmarkAblation_TrinaryNarrowHead(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		val := dataset.NewGenerator(cfg.Seed + 555).TrainSet(20, 20)
+		val := dataset.NewGenerator(cfg.Seed+555).TrainSet(20, 20)
 		correct := 0
 		for _, w := range val.Positives {
-			d, err := e.Descriptor(w)
+			d, err := core.Descriptor(e, w)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -389,7 +389,7 @@ func BenchmarkAblation_TrinaryNarrowHead(b *testing.B) {
 			}
 		}
 		for _, w := range val.Negatives {
-			d, err := e.Descriptor(w)
+			d, err := core.Descriptor(e, w)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -419,7 +419,7 @@ func BenchmarkAblation_HardNegMining(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		val := dataset.NewGenerator(cfg.Seed + 555).TrainSet(40, 40)
+		val := dataset.NewGenerator(cfg.Seed+555).TrainSet(40, 40)
 		vp, err := core.DescriptorSet(e, val.Positives)
 		if err != nil {
 			b.Fatal(err)

@@ -174,7 +174,7 @@ func reportAccuracy(ext core.Extractor, part *core.Partition) {
 	val := dataset.NewGenerator(999).TrainSet(40, 40)
 	correct, total := 0, 0
 	for _, w := range val.Positives {
-		d, err := ext.Descriptor(w)
+		d, err := core.Descriptor(ext, w)
 		if err != nil {
 			continue
 		}
@@ -184,7 +184,7 @@ func reportAccuracy(ext core.Extractor, part *core.Partition) {
 		}
 	}
 	for _, w := range val.Negatives {
-		d, err := ext.Descriptor(w)
+		d, err := core.Descriptor(ext, w)
 		if err != nil {
 			continue
 		}

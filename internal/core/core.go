@@ -22,6 +22,7 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 
 	"repro/internal/dataset"
 	"repro/internal/detect"
@@ -67,16 +68,38 @@ func (p Paradigm) String() string {
 	}
 }
 
-// Extractor couples a window feature extractor with identification.
-type Extractor interface {
-	detect.Extractor
-	Descriptor(window *imgproc.Image) ([]float64, error)
+// Extractor is a partition's feature-extraction stage: the cell-grid
+// and window-descriptor contract the detector scans with.
+type Extractor = detect.Extractor
+
+// Descriptor computes the descriptor of one 64x128 window: GridInto
+// over the window, then DescriptorInto at cell (0, 0). Windows of any
+// other size are rejected.
+func Descriptor(e Extractor, window *imgproc.Image) ([]float64, error) {
+	var s windowScratch
+	return s.descriptor(e, window)
 }
 
-// namedExtractor decorates an Extractor with its paradigm.
-type namedExtractor struct {
-	Extractor
-	paradigm Paradigm
+// windowScratch is the cell grid and descriptor buffer that loops over
+// many windows reuse.
+type windowScratch struct {
+	grid hog.Grid
+	buf  []float64
+}
+
+// descriptor is Descriptor over s's storage. The result is a copy
+// sized to the descriptor, so callers may keep it.
+func (s *windowScratch) descriptor(e Extractor, window *imgproc.Image) ([]float64, error) {
+	if window.W != 64 || window.H != 128 {
+		return nil, fmt.Errorf("core: window is %dx%d, want 64x128", window.W, window.H)
+	}
+	e.GridInto(&s.grid, window)
+	d, err := e.DescriptorInto(s.buf[:0], &s.grid, 0, 0)
+	if err != nil {
+		return nil, err
+	}
+	s.buf = d
+	return slices.Clone(d), nil
 }
 
 // NewExtractor constructs the feature extractor for a paradigm. norm
@@ -96,19 +119,19 @@ func NewExtractor(p Paradigm, norm hog.NormMode) (Extractor, error) {
 		if err != nil {
 			return nil, err
 		}
-		return namedExtractor{fpgaAdapter{e}, p}, nil
+		return e, nil
 	case ParadigmNApproxFP:
 		e, err := napprox.New(napprox.FullPrecision(), norm)
 		if err != nil {
 			return nil, err
 		}
-		return namedExtractor{e, p}, nil
+		return e, nil
 	case ParadigmNApprox:
 		e, err := napprox.New(napprox.TrueNorthConfig(), norm)
 		if err != nil {
 			return nil, err
 		}
-		return namedExtractor{e, p}, nil
+		return e, nil
 	case ParadigmParrot:
 		return nil, fmt.Errorf("core: use NewParrotExtractor for the parrot paradigm")
 	case ParadigmAbsorbed:
@@ -116,12 +139,6 @@ func NewExtractor(p Paradigm, norm hog.NormMode) (Extractor, error) {
 	default:
 		return nil, fmt.Errorf("core: unknown paradigm %d", int(p))
 	}
-}
-
-// fpgaAdapter lets the FPGA extractor satisfy Extractor (its methods
-// already match; this adapter exists for interface completeness).
-type fpgaAdapter struct {
-	*hog.FPGAExtractor
 }
 
 // NewParrotExtractor trains (or wraps) a parrot network at the given
@@ -135,12 +152,13 @@ func NewParrotExtractor(opt parrot.TrainOptions, window int, stochastic bool, rn
 	if err != nil {
 		return nil, err
 	}
-	return namedExtractor{wrapped, ParadigmParrot}, nil
+	return wrapped, nil
 }
 
-// WrapParrot wraps an already-trained parrot extractor.
+// WrapParrot returns an already-trained parrot extractor as an
+// Extractor.
 func WrapParrot(e *parrot.Extractor) Extractor {
-	return namedExtractor{e, ParadigmParrot}
+	return e
 }
 
 // EednClassifier adapts an Eedn network with a single score output to
@@ -194,11 +212,13 @@ func (p *Partition) Detector(cfg detect.Config) (*detect.Detector, error) {
 	return detect.NewDetector(p.Extractor, p.Classifier, cfg)
 }
 
-// DescriptorSet extracts descriptors for a set of windows.
+// DescriptorSet extracts descriptors for a set of 64x128 windows,
+// reusing one cell grid across them.
 func DescriptorSet(e Extractor, windows []*imgproc.Image) ([][]float64, error) {
 	out := make([][]float64, 0, len(windows))
+	var s windowScratch
 	for i, w := range windows {
-		d, err := e.Descriptor(w)
+		d, err := s.descriptor(e, w)
 		if err != nil {
 			return nil, fmt.Errorf("core: window %d: %w", i, err)
 		}
@@ -255,6 +275,7 @@ func TrainSVMPartition(p Paradigm, e Extractor, ts dataset.TrainSet, cfg SVMTrai
 				return nil
 			}
 			var hard [][]float64
+			var s windowScratch
 			for i := 0; i < cfg.MiningScenes; i++ {
 				img := gen.NegativeImage(256, 256)
 				for _, d := range det.Detect(img) {
@@ -262,7 +283,7 @@ func TrainSVMPartition(p Paradigm, e Extractor, ts dataset.TrainSet, cfg SVMTrai
 					// image is a false positive; re-extract at the
 					// window's location and scale.
 					win := resampleWindow(img, d.Box)
-					desc, err := e.Descriptor(win)
+					desc, err := s.descriptor(e, win)
 					if err == nil {
 						hard = append(hard, desc)
 					}

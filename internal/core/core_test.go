@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"repro/internal/dataset"
@@ -57,12 +58,26 @@ func TestDescriptorSet(t *testing.T) {
 		t.Fatal(err)
 	}
 	gen := dataset.NewGenerator(1)
-	ds, err := DescriptorSet(e, []*imgproc.Image{gen.Positive(), gen.Negative()})
+	windows := []*imgproc.Image{gen.Positive(), gen.Negative(), gen.Positive()}
+	ds, err := DescriptorSet(e, windows)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(ds) != 2 || len(ds[0]) != 7560 {
-		t.Errorf("descriptor set %d x %d", len(ds), len(ds[0]))
+	if len(ds) != 3 || len(ds[0]) != 7560 {
+		t.Fatalf("descriptor set %d x %d", len(ds), len(ds[0]))
+	}
+	// The shared grid carries nothing from one window to the next.
+	for i, w := range windows {
+		d, err := Descriptor(e, w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(ds[i], d) {
+			t.Fatalf("window %d: DescriptorSet differs from Descriptor", i)
+		}
+	}
+	if _, err := DescriptorSet(e, []*imgproc.Image{gen.Positive(), imgproc.New(72, 136)}); err == nil {
+		t.Error("a window that is not 64x128 should be rejected")
 	}
 }
 
@@ -124,7 +139,7 @@ func TestTrainEednPartition(t *testing.T) {
 	val := dataset.NewGenerator(42).TrainSet(30, 30)
 	correct := 0
 	for _, w := range val.Positives {
-		d, err := e.Descriptor(w)
+		d, err := Descriptor(e, w)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -133,7 +148,7 @@ func TestTrainEednPartition(t *testing.T) {
 		}
 	}
 	for _, w := range val.Negatives {
-		d, err := e.Descriptor(w)
+		d, err := Descriptor(e, w)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -208,7 +223,7 @@ func TestWrapParrot(t *testing.T) {
 	}
 	w := WrapParrot(ex)
 	gen := dataset.NewGenerator(3)
-	d, err := w.Descriptor(gen.Positive())
+	d, err := Descriptor(w, gen.Positive())
 	if err != nil {
 		t.Fatal(err)
 	}

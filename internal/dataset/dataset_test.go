@@ -105,19 +105,20 @@ func TestHoGSeparatesClasses(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	var grid hog.Grid
+	descriptor := func(w *imgproc.Image) []float64 {
+		e.GridInto(&grid, w)
+		d, err := e.DescriptorInto(nil, &grid, 0, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return d
+	}
 	const n = 40
 	var posD, negD [][]float64
 	for i := 0; i < n; i++ {
-		d1, err := e.Descriptor(g.Positive())
-		if err != nil {
-			t.Fatal(err)
-		}
-		d2, err := e.Descriptor(g.Negative())
-		if err != nil {
-			t.Fatal(err)
-		}
-		posD = append(posD, d1)
-		negD = append(negD, d2)
+		posD = append(posD, descriptor(g.Positive()))
+		negD = append(negD, descriptor(g.Negative()))
 	}
 	dim := len(posD[0])
 	centroidP := make([]float64, dim)

@@ -20,17 +20,15 @@ import (
 	"repro/internal/stats"
 )
 
-// Extractor produces window descriptors from cell grids; hog.Extractor,
+// Extractor is the split between feature extraction and
+// classification: GridInto fills a reusable flat grid with the cell
+// histograms of an image (and the block plane derived from them), and
+// DescriptorInto appends the descriptor of the window whose top-left
+// cell is (cellX, cellY) to a caller-owned scratch buffer. hog.Extractor,
 // hog.FPGAExtractor, napprox.Extractor and parrot.Extractor satisfy it.
-// GridInto/DescriptorInto are the allocation-free forms the scan engine
-// uses: GridInto fills a reusable flat grid and DescriptorInto appends
-// the window descriptor to a caller-owned scratch buffer, producing
-// values identical to CellGrid/DescriptorAt. DescriptorInto must be
-// safe for concurrent callers holding distinct dst buffers over one
-// shared read-only grid.
+// DescriptorInto must be safe for concurrent callers holding distinct
+// dst buffers over one shared read-only grid.
 type Extractor interface {
-	CellGrid(img *imgproc.Image) [][][]float64
-	DescriptorAt(grid [][][]float64, cellX, cellY int) ([]float64, error)
 	GridInto(g *hog.Grid, img *imgproc.Image)
 	DescriptorInto(dst []float64, g *hog.Grid, cellX, cellY int) ([]float64, error)
 }

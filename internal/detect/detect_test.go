@@ -38,7 +38,7 @@ func TestNewDetectorNilArgs(t *testing.T) {
 func TestNMSKeepsStrongestPerCluster(t *testing.T) {
 	dets := []Detection{
 		{Box: dataset.Box{X: 0, Y: 0, W: 10, H: 10}, Score: 1},
-		{Box: dataset.Box{X: 1, Y: 1, W: 10, H: 10}, Score: 2},   // overlaps, stronger
+		{Box: dataset.Box{X: 1, Y: 1, W: 10, H: 10}, Score: 2},     // overlaps, stronger
 		{Box: dataset.Box{X: 50, Y: 50, W: 10, H: 10}, Score: 0.5}, // separate
 	}
 	kept := NMS(dets, 0.2)
@@ -70,21 +70,20 @@ func trainedPipeline(t testing.TB) *Detector {
 		t.Fatal(err)
 	}
 	ts := gen.TrainSet(60, 120)
-	var pos, neg [][]float64
-	for _, w := range ts.Positives {
-		d, err := ext.Descriptor(w)
-		if err != nil {
-			t.Fatal(err)
+	descriptors := func(windows []*imgproc.Image) [][]float64 {
+		var out [][]float64
+		var g hog.Grid
+		for _, w := range windows {
+			ext.GridInto(&g, w)
+			d, err := ext.DescriptorInto(nil, &g, 0, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out = append(out, d)
 		}
-		pos = append(pos, d)
+		return out
 	}
-	for _, w := range ts.Negatives {
-		d, err := ext.Descriptor(w)
-		if err != nil {
-			t.Fatal(err)
-		}
-		neg = append(neg, d)
-	}
+	pos, neg := descriptors(ts.Positives), descriptors(ts.Negatives)
 	model, err := svm.Train(pos, neg, svm.DefaultTrainOptions())
 	if err != nil {
 		t.Fatal(err)

@@ -296,9 +296,8 @@ func (d *Detector) scanBand(sc *workerScratch, g *hog.Grid, r0, r1 int, scale fl
 //
 // Multi-image mode scans concurrently through the shared Extractor
 // and Scorer, which is safe for all stateless extractors in this repo;
-// parrot.Extractor with Stochastic coding (shared Rng) and
-// napprox VoteRace at SpikeWindow 0 are the exceptions — drive those
-// with Workers <= 1.
+// parrot.Extractor with Stochastic coding (shared Rng) is the
+// exception — drive it with Workers <= 1.
 func (d *Detector) DetectStream(n int, src func(int) *imgproc.Image, sink func(int, []Detection)) {
 	if n <= 0 {
 		return

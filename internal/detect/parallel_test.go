@@ -58,9 +58,10 @@ func (s linScorer) Score(x []float64) float64 {
 	return v
 }
 
-// legacyDetectRaw is the pre-parallel sequential scan (CellGrid +
-// DescriptorAt per window), kept as the differential reference the
-// engine must match bit-for-bit.
+// legacyDetectRaw is the pre-parallel sequential scan (a fresh grid
+// per level, one GridInto, then DescriptorInto into a fresh slice per
+// window), kept as the differential reference the engine must match
+// bit-for-bit.
 func legacyDetectRaw(d *Detector, img *imgproc.Image) []Detection {
 	cfg := d.Config
 	winW := cfg.WindowCellsX * cfg.CellSize
@@ -69,15 +70,11 @@ func legacyDetectRaw(d *Detector, img *imgproc.Image) []Detection {
 	var out []Detection
 	for li, level := range levels {
 		scale := math.Pow(cfg.ScaleFactor, float64(li))
-		grid := d.Extractor.CellGrid(level)
-		cy := len(grid)
-		if cy == 0 {
-			continue
-		}
-		cx := len(grid[0])
-		for gy := 0; gy+cfg.WindowCellsY <= cy; gy += cfg.StrideCells {
-			for gx := 0; gx+cfg.WindowCellsX <= cx; gx += cfg.StrideCells {
-				desc, err := d.Extractor.DescriptorAt(grid, gx, gy)
+		var grid hog.Grid
+		d.Extractor.GridInto(&grid, level)
+		for gy := 0; gy+cfg.WindowCellsY <= grid.CellsY; gy += cfg.StrideCells {
+			for gx := 0; gx+cfg.WindowCellsX <= grid.CellsX; gx += cfg.StrideCells {
+				desc, err := d.Extractor.DescriptorInto(nil, &grid, gx, gy)
 				if err != nil {
 					continue
 				}
@@ -272,20 +269,12 @@ func TestDetectSteadyStateAllocs(t *testing.T) {
 	}
 }
 
-// failEveryN wraps an Extractor, failing DescriptorAt/DescriptorInto
-// on every n-th window to exercise the error accounting.
+// failEveryN wraps an Extractor, failing DescriptorInto on every n-th
+// window to exercise the error accounting.
 type failEveryN struct {
 	Extractor
 	n     int
 	calls int
-}
-
-func (f *failEveryN) DescriptorAt(grid [][][]float64, cellX, cellY int) ([]float64, error) {
-	f.calls++
-	if f.calls%f.n == 0 {
-		return nil, errFail
-	}
-	return f.Extractor.DescriptorAt(grid, cellX, cellY)
 }
 
 func (f *failEveryN) DescriptorInto(dst []float64, g *hog.Grid, cellX, cellY int) ([]float64, error) {

@@ -100,9 +100,8 @@ type seqLevel struct {
 // frames through Next/NextPanned; a Sequence is not safe for
 // concurrent use, and the slice Next returns is only valid until the
 // next call. Reuse requires a deterministic extractor — the same
-// exceptions as DetectStream (parrot stochastic coding, napprox
-// VoteRace at SpikeWindow 0) apply, since those can score identical
-// pixels differently between frames.
+// exception as DetectStream (parrot stochastic coding) applies, since
+// it can score identical pixels differently between frames.
 type Sequence struct {
 	d      *Detector
 	lv     []*seqLevel

@@ -1,8 +1,6 @@
 package hog
 
 import (
-	"fmt"
-
 	"repro/internal/fixed"
 	"repro/internal/imgproc"
 )
@@ -24,8 +22,7 @@ type FPGAExtractor struct {
 
 // NewFPGAExtractor returns the fixed-point baseline extractor. The
 // configuration is fixed to the published design (9 unsigned bins,
-// magnitude voting, L2 norm); only window geometry may be customized
-// via opts-style mutation of the returned config is not supported.
+// magnitude voting, L2 norm); only the window geometry is a parameter.
 func NewFPGAExtractor(windowW, windowH int) (*FPGAExtractor, error) {
 	cfg := Config{
 		CellSize: 8, NBins: 9, Signed: false,
@@ -45,26 +42,19 @@ func (e *FPGAExtractor) Config() Config { return e.cfg }
 // Format returns the fixed-point format of the datapath.
 func (e *FPGAExtractor) Format() fixed.Q { return e.q }
 
-// CellGrid computes per-cell histograms with the fixed-point datapath.
-// Histogram entries are returned as float64 for interchange but every
-// value is exactly representable in the Q format.
-func (e *FPGAExtractor) CellGrid(img *imgproc.Image) [][][]float64 {
-	var g Grid
-	e.GridInto(&g, img)
-	return g.Views()
-}
-
 // GridInto computes the fixed-point cell histograms of img into g,
-// reusing g's backing storage (identical values to CellGrid). Safe to
-// call concurrently on distinct grids.
+// reusing g's backing storage. Histogram entries are stored as float64
+// for interchange but every value is exactly representable in the Q
+// format. Safe to call concurrently on distinct grids.
 //
 // The pixel plane is quantized once into grid-owned scratch (the FPGA
 // receives 8-bit pixels, modeled as Q8.8 values in [0, 1]) and the
 // per-cell pass reads it with row-base offsets resolved per pixel row
 // instead of a clamping closure per neighbor. The float block plane is
-// prepared afterwards so DescriptorInto hits the fused path; block
-// normalization stays the float model of the published design, exact
-// regardless of FastMath.
+// prepared afterwards for DescriptorInto: block L2 normalization runs
+// in floating point (the FPGA design uses a reciprocal-square-root LUT
+// whose error is below the Q8.8 LSB, so the float model is within
+// quantization noise of the RTL).
 func (e *FPGAExtractor) GridInto(g *Grid, img *imgproc.Image) {
 	cs := e.cfg.CellSize
 	cx, cy := img.W/cs, img.H/cs
@@ -141,28 +131,8 @@ func (e *FPGAExtractor) fixedCellPass(g *Grid, pix []int64, iw, ih int) {
 // pass; NewFPGAExtractor pins NBins to 9, well inside it.
 const maxFixedBins = 32
 
-// Descriptor computes the full fixed-point window descriptor. Block L2
-// normalization is performed in floating point (the FPGA design uses a
-// reciprocal-square-root LUT whose error is below the Q8.8 LSB, so the
-// float model is within quantization noise of the RTL).
-func (e *FPGAExtractor) Descriptor(window *imgproc.Image) ([]float64, error) {
-	if window.W != e.cfg.WindowW || window.H != e.cfg.WindowH {
-		return nil, fmt.Errorf("hog: window is %dx%d, want %dx%d",
-			window.W, window.H, e.cfg.WindowW, e.cfg.WindowH)
-	}
-	ref := Extractor{cfg: e.cfg}
-	return ref.DescriptorFromGrid(e.CellGrid(window))
-}
-
-// DescriptorAt mirrors Extractor.DescriptorAt for the fixed-point grid.
-func (e *FPGAExtractor) DescriptorAt(grid [][][]float64, cellX, cellY int) ([]float64, error) {
-	ref := Extractor{cfg: e.cfg}
-	return ref.DescriptorAt(grid, cellX, cellY)
-}
-
-// DescriptorInto mirrors Extractor.DescriptorInto for the fixed-point
-// grid: block assembly and normalization are the same float model, so
-// delegation preserves bit-identity with DescriptorAt.
+// DescriptorInto is Extractor.DescriptorInto for the fixed-point grid:
+// block assembly and normalization are the same float model.
 //
 //pcnn:hotpath
 func (e *FPGAExtractor) DescriptorInto(dst []float64, g *Grid, cellX, cellY int) ([]float64, error) {

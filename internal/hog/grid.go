@@ -4,18 +4,16 @@ import "fmt"
 
 // Grid is a flat, cache-friendly cell-histogram grid: Data holds
 // CellsY x CellsX histograms of Bins values each, row-major with bins
-// innermost (Data[(cy*CellsX+cx)*Bins + b]). It is the allocation-lean
-// counterpart of the [][][]float64 grids the extractors historically
-// returned: one backing array instead of CellsY*CellsX small slices,
+// innermost (Data[(cy*CellsX+cx)*Bins + b]), in one backing array
 // reusable across pyramid levels and images via Reset.
 //
 // Beyond the cell histograms a Grid owns the reusable kernel scratch of
 // the blocked extractor passes (the SoA magnitude/bin/fraction planes
 // and the fixed-point pixel plane) and, after an extractor's
 // PrepareBlocks, a normalized per-block descriptor plane that
-// DescriptorInto copies windows out of. All of that derived state is
-// keyed and validity-checked, so a Grid filled by hand (Reset + direct
-// Data writes) simply falls back to the slower per-window path.
+// DescriptorInto copies windows out of. The plane is keyed and
+// validity-checked: DescriptorInto rejects a grid filled by hand
+// (Reset + direct Data writes) until PrepareBlocks builds its plane.
 // Callers that mutate Data directly after an extractor filled the grid
 // must call InvalidateBlocks to drop the stale block plane.
 //
@@ -48,14 +46,12 @@ type Grid struct {
 // position of the grid: nby x nbx blocks of blockLen values each,
 // row-major ((by*nbx+bx)*blockLen). It is keyed by the extractor
 // parameters that determine its values, so DescriptorInto can verify
-// the plane was built for the asking configuration and fall back
-// otherwise.
+// the plane was built for the asking configuration.
 type blockPlane struct {
 	valid      bool
 	bins       int
 	blockCells int
 	norm       NormMode
-	fastMath   bool
 	nbx, nby   int
 	blockLen   int
 	data       []float64
@@ -79,8 +75,8 @@ func (g *Grid) Reset(cellsX, cellsY, bins int) {
 }
 
 // InvalidateBlocks drops the prepared block plane. Call it after
-// mutating Data directly (e.g. through Views) so DescriptorInto does
-// not serve stale normalized blocks.
+// mutating Data directly so DescriptorInto does not serve stale
+// normalized blocks.
 func (g *Grid) InvalidateBlocks() { g.blocks.valid = false }
 
 // ScratchPlane returns a reusable float64 scratch plane of at least n
@@ -124,7 +120,7 @@ func (g *Grid) soaPlanes(n int) (mag []float64, bin []int32, frac []float64) {
 // it is being built. The plane stays invalid until the builder marks
 // it; a panic mid-build therefore cannot leave a half-built plane
 // serving descriptors.
-func (g *Grid) ensureBlocks(nbx, nby, blockLen, bins, blockCells int, norm NormMode, fastMath bool) []float64 {
+func (g *Grid) ensureBlocks(nbx, nby, blockLen, bins, blockCells int, norm NormMode) []float64 {
 	n := nbx * nby * blockLen
 	if cap(g.blocks.data) < n {
 		g.blocks.data = make([]float64, n)
@@ -132,17 +128,16 @@ func (g *Grid) ensureBlocks(nbx, nby, blockLen, bins, blockCells int, norm NormM
 	g.blocks.data = g.blocks.data[:n]
 	g.blocks.valid = false
 	g.blocks.bins, g.blocks.blockCells = bins, blockCells
-	g.blocks.norm, g.blocks.fastMath = norm, fastMath
+	g.blocks.norm = norm
 	g.blocks.nbx, g.blocks.nby, g.blocks.blockLen = nbx, nby, blockLen
 	return g.blocks.data
 }
 
 // blocksFor returns the prepared block plane if it is valid and was
-// built for exactly this (bins, blockCells, norm, fastMath) key.
-func (g *Grid) blocksFor(bins, blockCells int, norm NormMode, fastMath bool) *blockPlane {
+// built for exactly this (bins, blockCells, norm) key.
+func (g *Grid) blocksFor(bins, blockCells int, norm NormMode) *blockPlane {
 	p := &g.blocks
-	if !p.valid || p.bins != bins || p.blockCells != blockCells ||
-		p.norm != norm || p.fastMath != fastMath {
+	if !p.valid || p.bins != bins || p.blockCells != blockCells || p.norm != norm {
 		return nil
 	}
 	return p
@@ -152,23 +147,6 @@ func (g *Grid) blocksFor(bins, blockCells int, norm NormMode, fastMath bool) *bl
 func (g *Grid) Hist(cx, cy int) []float64 {
 	off := (cy*g.CellsX + cx) * g.Bins
 	return g.Data[off : off+g.Bins]
-}
-
-// Views re-exposes the flat grid in the legacy [][][]float64 indexing
-// ([cy][cx][bin]); every histogram is a view sharing g.Data, so the
-// conversion costs CellsY+2 allocations instead of CellsY*CellsX.
-// Writing through the views mutates Data; call InvalidateBlocks after
-// doing so.
-func (g *Grid) Views() [][][]float64 {
-	rows := make([][][]float64, g.CellsY)
-	for j := 0; j < g.CellsY; j++ {
-		row := make([][]float64, g.CellsX)
-		for i := 0; i < g.CellsX; i++ {
-			row[i] = g.Hist(i, j)
-		}
-		rows[j] = row
-	}
-	return rows
 }
 
 // checkWindow validates that a window of cx x cy cells with bins-wide

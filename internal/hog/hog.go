@@ -15,6 +15,7 @@
 package hog
 
 import (
+	"errors"
 	"fmt"
 	"math"
 
@@ -146,16 +147,6 @@ type Config struct {
 	// the paper's footnote 1 discusses this as the aliasing
 	// mitigation its approximations elide).
 	SpatialInterp bool
-	// FastMath trades bit-identity with the historical per-pixel code
-	// for speed: gradient magnitudes via sqrt(ix²+iy²) instead of
-	// math.Hypot, orientation binning via a polynomial atan2 and a
-	// reciprocal multiply (VoteMagnitudeInterp only — discrete voting
-	// modes keep exact binning), and block normalization via one
-	// reciprocal instead of per-element divides. Every descriptor
-	// component stays within ε of the exact path (see fastmath.go and
-	// the differential test); golden fixtures must not be generated or
-	// checked with it enabled.
-	FastMath bool
 }
 
 // Reference returns the Dalal-Triggs-style configuration used for the
@@ -168,7 +159,6 @@ func Reference() Config {
 		BlockCells: 2, BlockStride: 1,
 		WindowW: 64, WindowH: 128,
 		CountThreshold: 0.02,
-		FastMath:       FastMathForced(),
 	}
 }
 
@@ -283,20 +273,11 @@ func (e *Extractor) vote(hist []float64, mag, ang float64) {
 	}
 }
 
-// CellGrid computes the per-cell orientation histograms of img. The
-// image must be at least one cell in each dimension; trailing partial
-// cells are ignored. Gradients at image borders use replicate padding.
-// The result is indexed [cy][cx][bin].
-func (e *Extractor) CellGrid(img *imgproc.Image) [][][]float64 {
-	var g Grid
-	e.GridInto(&g, img)
-	return g.Views()
-}
-
 // GridInto computes the per-cell orientation histograms of img into g,
-// reusing g's backing storage. It is the allocation-lean form of
-// CellGrid (identical values) and is safe to call concurrently on
-// distinct grids.
+// reusing g's backing storage. The image must be at least one cell in
+// each dimension to yield any cells; trailing partial cells are
+// ignored, and gradients at image borders use replicate padding. It is
+// safe to call concurrently on distinct grids.
 //
 // The non-spatial path runs as two blocked kernels over reusable SoA
 // planes — one gradient+binning sweep over the pixels, one row-run
@@ -318,11 +299,7 @@ func (e *Extractor) GridInto(g *Grid, img *imgproc.Image) {
 	} else {
 		w, h := cx*cs, cy*cs
 		mag, bin, frac := g.soaPlanes(w * h)
-		if e.cfg.FastMath && e.cfg.Voting == VoteMagnitudeInterp {
-			e.gradBinPassFast(img, w, h, mag, bin, frac)
-		} else {
-			e.gradBinPass(img, w, h, mag, bin, frac)
-		}
+		e.gradBinPass(img, w, h, mag, bin, frac)
 		e.accumulateCells(g, w, mag, bin, frac)
 	}
 	e.PrepareBlocks(g)
@@ -439,80 +416,6 @@ func (e *Extractor) gradBinPass(img *imgproc.Image, w, h int, mag []float64, bin
 	}
 }
 
-// gradBinPassFast is the FastMath variant of gradBinPass: sqrt of the
-// sum of squares instead of math.Hypot, polynomial atan2, and a
-// multiply by the precomputed bins-per-degree reciprocal instead of a
-// divide. Only used for VoteMagnitudeInterp, where the descriptor is
-// continuous in the angle so the ~1e-7 rad binning error stays an ε
-// perturbation (discrete voting modes would flip whole votes across
-// bin boundaries).
-//
-//pcnn:hotpath
-func (e *Extractor) gradBinPassFast(img *imgproc.Image, w, h int, mag []float64, bin []int32, frac []float64) {
-	pix := img.Pix
-	iw, ih := img.W, img.H
-	nb := e.cfg.NBins
-	nbF := float64(nb)
-	span := 360.0
-	if !e.cfg.Signed {
-		span = 180.0
-	}
-	invBinW := nbF / span
-	const degPerRad = 180 / math.Pi
-	signed := e.cfg.Signed
-	for y := 0; y < h; y++ {
-		rowC := y * iw
-		yu := y - 1
-		if yu < 0 {
-			yu = 0
-		}
-		yd := y + 1
-		if yd >= ih {
-			yd = ih - 1
-		}
-		rowU, rowD := yu*iw, yd*iw
-		out := y * w
-		xHi := w
-		if w == iw {
-			xHi = w - 1
-		}
-		for x := 0; x < w; x++ {
-			xl, xr := x-1, x+1
-			if x == 0 {
-				xl = 0
-			}
-			if x >= xHi {
-				xr = iw - 1
-			}
-			ixv := pix[rowC+xr] - pix[rowC+xl]
-			iyv := pix[rowU+x] - pix[rowD+x]
-			m := math.Sqrt(ixv*ixv + iyv*iyv)
-			deg := fastAtan2(iyv, ixv) * degPerRad
-			if deg < 0 {
-				deg += 360
-			}
-			if !signed && deg >= 180 {
-				deg -= 180
-			}
-			fb := deg * invBinW
-			if fb >= nbF {
-				fb -= nbF
-			}
-			if fb < 0 {
-				fb = 0
-			}
-			lo := int(fb)
-			if lo >= nb {
-				lo = nb - 1
-			}
-			idx := out + x
-			mag[idx] = m
-			bin[idx] = int32(lo)
-			frac[idx] = fb - float64(lo)
-		}
-	}
-}
-
 // accumulateCells folds the SoA planes into the per-cell histograms,
 // walking each plane row-run at a time: for every cell row the pixel
 // rows are consumed left to right, so each histogram receives its
@@ -589,8 +492,8 @@ func (e *Extractor) accumulateCells(g *Grid, w int, mag []float64, bin []int32, 
 // handful of contiguous copies. Per-block normalization depends only
 // on the block's own cells, never on which window reads it, so the
 // plane's values are bit-identical to normalizing inside each window.
-// GridInto calls this automatically; call it manually only for grids
-// filled by other means.
+// GridInto calls this automatically; call it manually for grids
+// filled by other means, which DescriptorInto otherwise rejects.
 func (e *Extractor) PrepareBlocks(g *Grid) {
 	bc := e.cfg.BlockCells
 	nbx, nby := g.CellsX-bc+1, g.CellsY-bc+1
@@ -599,7 +502,7 @@ func (e *Extractor) PrepareBlocks(g *Grid) {
 		return
 	}
 	blockLen := bc * bc * g.Bins
-	data := g.ensureBlocks(nbx, nby, blockLen, e.cfg.NBins, bc, e.cfg.Norm, e.cfg.FastMath)
+	data := g.ensureBlocks(nbx, nby, blockLen, e.cfg.NBins, bc, e.cfg.Norm)
 	e.buildBlocks(g, data, nbx, nby, bc, blockLen)
 	g.blocks.valid = true
 }
@@ -614,7 +517,6 @@ func (e *Extractor) buildBlocks(g *Grid, data []float64, nbx, nby, bc, blockLen 
 	nb := g.Bins
 	cx := g.CellsX
 	rowLen := bc * nb
-	fast := e.cfg.FastMath
 	mode := e.cfg.Norm
 	off := 0
 	for by := 0; by < nby; by++ {
@@ -624,11 +526,7 @@ func (e *Extractor) buildBlocks(g *Grid, data []float64, nbx, nby, bc, blockLen 
 				src := ((by+j)*cx + bx) * nb
 				copy(dst[j*rowLen:(j+1)*rowLen], g.Data[src:src+rowLen])
 			}
-			if fast {
-				applyNormFast(mode, dst)
-			} else {
-				applyNorm(mode, dst)
-			}
+			applyNorm(mode, dst)
 			off += blockLen
 		}
 	}
@@ -687,81 +585,24 @@ func (e *Extractor) cellVotePass(hist []float64, cell *imgproc.Image) {
 	}
 }
 
-// DescriptorFromGrid assembles a window descriptor from the cell grid
-// of a window-sized image: blocks in raster order, cells within each
-// block in raster order, bins innermost, with per-block normalization.
-func (e *Extractor) DescriptorFromGrid(grid [][][]float64) ([]float64, error) {
-	cx, cy := e.cfg.CellsX(), e.cfg.CellsY()
-	if len(grid) != cy || cy == 0 || len(grid[0]) != cx {
-		return nil, fmt.Errorf("hog: grid is %dx%d, want %dx%d",
-			lenOr0(grid), len(grid), cx, cy)
-	}
-	bc, bs := e.cfg.BlockCells, e.cfg.BlockStride
-	out := make([]float64, 0, e.cfg.DescriptorLen())
-	for by := 0; by+bc <= cy; by += bs {
-		for bx := 0; bx+bc <= cx; bx += bs {
-			start := len(out)
-			for j := 0; j < bc; j++ {
-				for i := 0; i < bc; i++ {
-					out = append(out, grid[by+j][bx+i]...)
-				}
-			}
-			if e.cfg.FastMath {
-				applyNormFast(e.cfg.Norm, out[start:])
-			} else {
-				applyNorm(e.cfg.Norm, out[start:])
-			}
-		}
-	}
-	return out, nil
-}
-
-func lenOr0(g [][][]float64) int {
-	if len(g) == 0 {
-		return 0
-	}
-	return len(g[0])
-}
-
-// Descriptor computes the full window descriptor of a WindowW x WindowH
-// image.
-func (e *Extractor) Descriptor(window *imgproc.Image) ([]float64, error) {
-	if window.W != e.cfg.WindowW || window.H != e.cfg.WindowH {
-		return nil, fmt.Errorf("hog: window is %dx%d, want %dx%d",
-			window.W, window.H, e.cfg.WindowW, e.cfg.WindowH)
-	}
-	return e.DescriptorFromGrid(e.CellGrid(window))
-}
-
-// DescriptorAt computes the descriptor of the window whose top-left
-// corner is (x0, y0) in img, sharing one gradient computation across
-// windows via the supplied cell grid of the whole image. gridOriginX/Y
-// give the cell coordinates of (x0, y0); the window position must be
-// cell-aligned.
-func (e *Extractor) DescriptorAt(grid [][][]float64, cellX, cellY int) ([]float64, error) {
-	cx, cy := e.cfg.CellsX(), e.cfg.CellsY()
-	if cellY < 0 || cellX < 0 || cellY+cy > len(grid) || len(grid) == 0 || cellX+cx > len(grid[0]) {
-		return nil, fmt.Errorf("hog: window cells [%d:%d)x[%d:%d) outside grid %dx%d",
-			cellX, cellX+cx, cellY, cellY+cy, lenOr0(grid), len(grid))
-	}
-	sub := make([][][]float64, cy)
-	for j := 0; j < cy; j++ {
-		sub[j] = grid[cellY+j][cellX : cellX+cx]
-	}
-	return e.DescriptorFromGrid(sub)
-}
+// ErrNoBlockPlane is the error DescriptorInto returns for a grid that
+// carries no block plane prepared under the extractor's configuration:
+// one filled by hand, or one whose plane InvalidateBlocks dropped.
+var ErrNoBlockPlane = errors.New("hog: grid has no block plane for this configuration; call PrepareBlocks")
 
 // DescriptorInto appends the descriptor of the window whose top-left
-// cell is (cellX, cellY) in g to dst and returns the extended slice —
-// the same values as DescriptorAt but with zero allocations once dst
-// has capacity (append into dst[:0] of a per-worker scratch buffer).
-// On error dst is returned unchanged.
+// cell is (cellX, cellY) in g to dst and returns the extended slice,
+// with zero allocations once dst has capacity (append into dst[:0] of
+// a per-worker scratch buffer). The layout is blocks in raster order,
+// cells within each block in raster order, bins innermost, each block
+// normalized under the configured norm. It is safe for concurrent
+// callers holding distinct dst buffers over one read-only grid.
 //
-// When g carries a block plane prepared under this configuration
-// (GridInto builds one), the descriptor is emitted as contiguous
-// copies of pre-normalized blocks — the fused fast path. Grids filled
-// by other means fall back to per-window assembly with identical
-// values.
+// The descriptor is emitted as contiguous copies of g's pre-normalized
+// block plane, so g must carry a plane prepared under this
+// configuration (GridInto builds one; grids filled by other means need
+// PrepareBlocks). Without one it returns ErrNoBlockPlane, and when the
+// window does not fit g another error; either way dst is unchanged.
 //
 //pcnn:hotpath
 func (e *Extractor) DescriptorInto(dst []float64, g *Grid, cellX, cellY int) ([]float64, error) {
@@ -770,40 +611,25 @@ func (e *Extractor) DescriptorInto(dst []float64, g *Grid, cellX, cellY int) ([]
 		return dst, err
 	}
 	bc, bs := e.cfg.BlockCells, e.cfg.BlockStride
-	if p := g.blocksFor(e.cfg.NBins, bc, e.cfg.Norm, e.cfg.FastMath); p != nil {
-		if bs == 1 {
-			// Stride-1 block rows are contiguous in the plane: one copy
-			// per block row instead of one per cell.
-			rowLen := (cx - bc + 1) * p.blockLen
-			for by := 0; by+bc <= cy; by++ {
-				off := ((cellY+by)*p.nbx + cellX) * p.blockLen
-				dst = append(dst, p.data[off:off+rowLen]...)
-			}
-		} else {
-			for by := 0; by+bc <= cy; by += bs {
-				rowOff := (cellY + by) * p.nbx
-				for bx := 0; bx+bc <= cx; bx += bs {
-					off := (rowOff + cellX + bx) * p.blockLen
-					dst = append(dst, p.data[off:off+p.blockLen]...)
-				}
-			}
+	p := g.blocksFor(e.cfg.NBins, bc, e.cfg.Norm)
+	if p == nil {
+		return dst, ErrNoBlockPlane
+	}
+	if bs == 1 {
+		// Stride-1 block rows are contiguous in the plane: one copy
+		// per block row instead of one per cell.
+		rowLen := (cx - bc + 1) * p.blockLen
+		for by := 0; by+bc <= cy; by++ {
+			off := ((cellY+by)*p.nbx + cellX) * p.blockLen
+			dst = append(dst, p.data[off:off+rowLen]...)
 		}
 		return dst, nil
 	}
 	for by := 0; by+bc <= cy; by += bs {
+		rowOff := (cellY + by) * p.nbx
 		for bx := 0; bx+bc <= cx; bx += bs {
-			start := len(dst)
-			for j := 0; j < bc; j++ {
-				for i := 0; i < bc; i++ {
-					dst = append(dst, g.Hist(cellX+bx+i, cellY+by+j)...)
-				}
-			}
-			norm := dst[start:]
-			if e.cfg.FastMath {
-				applyNormFast(e.cfg.Norm, norm)
-			} else {
-				applyNorm(e.cfg.Norm, norm)
-			}
+			off := (rowOff + cellX + bx) * p.blockLen
+			dst = append(dst, p.data[off:off+p.blockLen]...)
 		}
 	}
 	return dst, nil

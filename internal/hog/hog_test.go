@@ -83,12 +83,13 @@ func rampWindow() *imgproc.Image {
 
 func TestCellGridHorizontalRamp(t *testing.T) {
 	e := mustExtractor(t, Reference())
-	grid := e.CellGrid(rampWindow())
-	if len(grid) != 16 || len(grid[0]) != 8 {
-		t.Fatalf("grid dims %dx%d", len(grid[0]), len(grid))
+	var g Grid
+	e.GridInto(&g, rampWindow())
+	if g.CellsY != 16 || g.CellsX != 8 {
+		t.Fatalf("grid dims %dx%d", g.CellsX, g.CellsY)
 	}
 	// All energy should be in bin 0 (0 degrees) for interior cells.
-	h := grid[8][4]
+	h := g.Hist(4, 8)
 	sum := 0.0
 	for _, v := range h {
 		sum += v
@@ -102,8 +103,8 @@ func TestCellGridHorizontalRamp(t *testing.T) {
 }
 
 func TestBinOfSignedVsUnsigned(t *testing.T) {
-	u := mustExtractor(t, Reference())        // 9 bins, unsigned
-	s := mustExtractor(t, NApproxStyle())     // 18 bins, signed
+	u := mustExtractor(t, Reference())    // 9 bins, unsigned
+	s := mustExtractor(t, NApproxStyle()) // 18 bins, signed
 	// 200 degrees: unsigned folds to 20 -> bin 1; signed -> bin 10.
 	ang := 200 * math.Pi / 180
 	if ang > math.Pi {
@@ -188,7 +189,7 @@ func TestCellHistogramBorder(t *testing.T) {
 func TestDescriptorShapeAndNorm(t *testing.T) {
 	e := mustExtractor(t, Reference())
 	w := rampWindow()
-	d, err := e.Descriptor(w)
+	d, err := descriptor(e, w)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,8 +205,8 @@ func TestDescriptorShapeAndNorm(t *testing.T) {
 	if math.Abs(math.Sqrt(n)-1) > 1e-9 {
 		t.Errorf("block norm = %v, want 1", math.Sqrt(n))
 	}
-	if _, err := e.Descriptor(imgproc.New(32, 32)); err == nil {
-		t.Error("wrong window size should error")
+	if _, err := descriptor(e, imgproc.New(32, 32)); err == nil {
+		t.Error("image smaller than a window should error")
 	}
 }
 
@@ -213,7 +214,7 @@ func TestDescriptorNormNoneKeepsMagnitudes(t *testing.T) {
 	cfg := Reference()
 	cfg.Norm = NormNone
 	e := mustExtractor(t, cfg)
-	d, err := e.Descriptor(rampWindow())
+	d, err := descriptor(e, rampWindow())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,9 +239,10 @@ func TestDescriptorAtMatchesDescriptor(t *testing.T) {
 			img.Set(x, y, 0.5+0.5*math.Sin(float64(x)*0.3)*math.Cos(float64(y)*0.2))
 		}
 	}
-	grid := e.CellGrid(img)
+	var g Grid
+	e.GridInto(&g, img)
 	// Window at cell (2, 3) -> pixels (16, 24).
-	got, err := e.DescriptorAt(grid, 2, 3)
+	got, err := e.DescriptorInto(nil, &g, 2, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -248,7 +250,7 @@ func TestDescriptorAtMatchesDescriptor(t *testing.T) {
 	// differs only at the window border (replicate padding), so compare
 	// correlation rather than exact equality.
 	sub := img.SubImage(16, 24, 64, 128)
-	want, err := e.Descriptor(sub)
+	want, err := descriptor(e, sub)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -257,17 +259,10 @@ func TestDescriptorAtMatchesDescriptor(t *testing.T) {
 		t.Fatal(err)
 	}
 	if r < 0.98 {
-		t.Errorf("DescriptorAt correlation = %v, want > 0.98", r)
+		t.Errorf("offset-window correlation = %v, want > 0.98", r)
 	}
-	if _, err := e.DescriptorAt(grid, 50, 50); err == nil {
+	if _, err := e.DescriptorInto(nil, &g, 50, 50); err == nil {
 		t.Error("out-of-grid window should error")
-	}
-}
-
-func TestDescriptorFromGridRejectsBadShape(t *testing.T) {
-	e := mustExtractor(t, Reference())
-	if _, err := e.DescriptorFromGrid(make([][][]float64, 3)); err == nil {
-		t.Error("bad grid should error")
 	}
 }
 
@@ -283,8 +278,9 @@ func TestRotationShiftsHistogram(t *testing.T) {
 			m.Set(x, y, (float64(x)-float64(y))/192)
 		}
 	}
-	grid := e.CellGrid(m)
-	h := grid[8][4]
+	var g Grid
+	e.GridInto(&g, m)
+	h := g.Hist(4, 8)
 	best := stats.ArgMax(h)
 	if best != 2 { // 45 deg / 20 deg per bin = bin 2
 		t.Errorf("diagonal ramp peak bin = %d (hist %v), want 2", best, h)
@@ -304,11 +300,11 @@ func TestFPGAExtractorMatchesFloatReference(t *testing.T) {
 			img.Set(x, y, 0.5+0.4*math.Sin(float64(x)*0.7+float64(y)*0.3))
 		}
 	}
-	df, err := fx.Descriptor(img)
+	df, err := descriptor(fx, img)
 	if err != nil {
 		t.Fatal(err)
 	}
-	dr, err := ref.Descriptor(img)
+	dr, err := descriptor(ref, img)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -327,8 +323,8 @@ func TestFPGAExtractorErrors(t *testing.T) {
 		t.Error("bad window should error")
 	}
 	fx, _ := NewFPGAExtractor(64, 128)
-	if _, err := fx.Descriptor(imgproc.New(10, 10)); err == nil {
-		t.Error("bad window size should error")
+	if _, err := descriptor(fx, imgproc.New(10, 10)); err == nil {
+		t.Error("image smaller than a window should error")
 	}
 }
 
@@ -343,15 +339,12 @@ func TestHistogramMassConservedProperty(t *testing.T) {
 			s = s*6364136223846793005 + 1442695040888963407
 			m.Pix[i] = float64(s>>33%256) / 255
 		}
-		grid := e.CellGrid(m)
+		var grid Grid
+		e.GridInto(&grid, m)
 		g := imgproc.ComputeGradient(m)
 		var histMass, gradMass float64
-		for _, row := range grid {
-			for _, h := range row {
-				for _, v := range h {
-					histMass += v
-				}
-			}
+		for _, v := range grid.Data {
+			histMass += v
 		}
 		for y := 0; y < 16; y++ {
 			for x := 0; x < 16; x++ {
@@ -371,7 +364,7 @@ func BenchmarkReferenceDescriptor(b *testing.B) {
 	w := rampWindow()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_, _ = e.Descriptor(w)
+		_, _ = descriptor(e, w)
 	}
 }
 
@@ -380,6 +373,6 @@ func BenchmarkFPGADescriptor(b *testing.B) {
 	w := rampWindow()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_, _ = e.Descriptor(w)
+		_, _ = descriptor(e, w)
 	}
 }

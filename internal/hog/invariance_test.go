@@ -21,7 +21,7 @@ func TestDescriptorBrightnessInvariance(t *testing.T) {
 	for i := range base.Pix {
 		base.Pix[i] = 0.2 + 0.4*float64(i%37)/37
 	}
-	d0, err := e.Descriptor(base)
+	d0, err := descriptor(e, base)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -29,7 +29,7 @@ func TestDescriptorBrightnessInvariance(t *testing.T) {
 	for i := range shifted.Pix {
 		shifted.Pix[i] += 0.15
 	}
-	d1, err := e.Descriptor(shifted)
+	d1, err := descriptor(e, shifted)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,11 +62,11 @@ func TestDescriptorMassUnderMirror(t *testing.T) {
 			mirror.Set(x, y, img.At(63-x, y))
 		}
 	}
-	d0, err := e.Descriptor(img)
+	d0, err := descriptor(e, img)
 	if err != nil {
 		t.Fatal(err)
 	}
-	d1, err := e.Descriptor(mirror)
+	d1, err := descriptor(e, mirror)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,14 +88,7 @@ func TestDescriptorContrastInvarianceWithL2(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The exact path is contrast-invariant to float rounding; the
-	// FastMath path (picked up when PCNN_FASTMATH forces it through
-	// Reference) only to its ε contract, so the property keeps holding
-	// there at the looser bound.
-	tol := 1e-9
-	if e.Config().FastMath {
-		tol = 1e-6
-	}
+	const tol = 1e-9
 	f := func(seed uint8) bool {
 		img := imgproc.New(64, 128)
 		s := uint64(seed) + 11
@@ -103,7 +96,7 @@ func TestDescriptorContrastInvarianceWithL2(t *testing.T) {
 			s = s*6364136223846793005 + 1442695040888963407
 			img.Pix[i] = float64(s>>40%128) / 255
 		}
-		d0, err := e.Descriptor(img)
+		d0, err := descriptor(e, img)
 		if err != nil {
 			return false
 		}
@@ -111,7 +104,7 @@ func TestDescriptorContrastInvarianceWithL2(t *testing.T) {
 		for i := range scaled.Pix {
 			scaled.Pix[i] *= 1.7
 		}
-		d1, err := e.Descriptor(scaled)
+		d1, err := descriptor(e, scaled)
 		if err != nil {
 			return false
 		}
@@ -138,7 +131,7 @@ func TestFPGABrightnessNearInvariance(t *testing.T) {
 	for i := range img.Pix {
 		img.Pix[i] = 0.1 + 0.5*float64(i%53)/53
 	}
-	d0, err := e.Descriptor(img)
+	d0, err := descriptor(e, img)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +141,7 @@ func TestFPGABrightnessNearInvariance(t *testing.T) {
 	for i := range shifted.Pix {
 		shifted.Pix[i] += 0.25
 	}
-	d1, err := e.Descriptor(shifted)
+	d1, err := descriptor(e, shifted)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -48,19 +48,17 @@ func TestSpatialInterpConservesMass(t *testing.T) {
 			img.Set(x, y, 0.5+0.4*math.Sin(float64(x)*0.5)*math.Cos(float64(y)*0.3))
 		}
 	}
-	sum := func(grid [][][]float64) float64 {
+	mass := func(e *Extractor) float64 {
+		var g Grid
+		e.GridInto(&g, img)
 		var s float64
-		for _, row := range grid {
-			for _, h := range row {
-				for _, v := range h {
-					s += v
-				}
-			}
+		for _, v := range g.Data {
+			s += v
 		}
 		return s
 	}
-	m0 := sum(plain.CellGrid(img))
-	m1 := sum(spat.CellGrid(img))
+	m0 := mass(plain)
+	m1 := mass(spat)
 	if m0 == 0 {
 		t.Fatal("no gradient mass")
 	}
@@ -92,12 +90,13 @@ func TestSpatialInterpSmoothsCellTransitions(t *testing.T) {
 			}
 		}
 	}
-	grid := spat.CellGrid(img)
+	var g Grid
+	spat.GridInto(&g, img)
 	// Edge gradients live at x=15..16 (cells 1 and 2). With the
 	// bilinear split, cell 1 and cell 2 in each row share the energy.
 	rowEnergy := func(cx int) float64 {
 		var s float64
-		for _, v := range grid[8][cx] {
+		for _, v := range g.Hist(cx, 8) {
 			s += v
 		}
 		return s
@@ -122,11 +121,11 @@ func TestSpatialInterpDescriptorQuality(t *testing.T) {
 	for i := range img.Pix {
 		img.Pix[i] = 0.5 + 0.4*math.Sin(float64(i)*0.05)
 	}
-	d0, err := plain.Descriptor(img)
+	d0, err := descriptor(plain, img)
 	if err != nil {
 		t.Fatal(err)
 	}
-	d1, err := spat.Descriptor(img)
+	d1, err := descriptor(spat, img)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +146,7 @@ func BenchmarkSpatialInterpDescriptor(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_, _ = e.Descriptor(img)
+		_, _ = descriptor(e, img)
 	}
 }
 
@@ -164,7 +163,7 @@ func TestNormVariants(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		d, err := e.Descriptor(img)
+		d, err := descriptor(e, img)
 		if err != nil {
 			t.Fatal(err)
 		}

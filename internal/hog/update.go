@@ -4,10 +4,10 @@
 // region of the prepared block plane.
 //
 // The block plane stores the key it was built under (bins, block
-// cells, norm mode, FastMath), so a range rebuild reproduces exactly
-// what the original builder would write for the new cell data without
-// needing the extractor back — the same applyNorm/applyNormFast pair
-// PrepareBlocks uses, over the same contiguous cell-row copies. The
+// cells, norm mode), so a range rebuild reproduces exactly what the
+// original builder would write for the new cell data without needing
+// the extractor back — the same applyNorm PrepareBlocks uses, over the
+// same contiguous cell-row copies. The
 // plane's validity flag is the safety interlock: every mutator here
 // refuses to touch an invalid plane (callers fall back to a full
 // GridInto), and a grid whose Data was spliced without a matching
@@ -151,11 +151,7 @@ func (g *Grid) RebuildBlockRange(br0, bc0, br1, bc1 int) bool {
 				src := ((by+j)*cx + bx) * nb
 				copy(dst[j*rowLen:(j+1)*rowLen], g.Data[src:src+rowLen])
 			}
-			if p.fastMath {
-				applyNormFast(p.norm, dst)
-			} else {
-				applyNorm(p.norm, dst)
-			}
+			applyNorm(p.norm, dst)
 		}
 	}
 	p.valid = true
@@ -171,7 +167,7 @@ func (g *Grid) RebuildBlockRange(br0, bc0, br1, bc1 int) bool {
 // the same offset so only the exposed block strips need rebuilding.
 // Reports false without touching anything when no valid plane is
 // present (the caller should fully recompute instead — shifting Data
-// alone would save little and leave descriptors on the slow path).
+// alone would save little and leave a grid DescriptorInto rejects).
 //
 //pcnn:hotpath
 func (g *Grid) ShiftCells(dxc, dyc int) bool {

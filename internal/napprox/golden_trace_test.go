@@ -10,7 +10,6 @@ import (
 	"sort"
 	"testing"
 
-	"repro/internal/hog"
 	"repro/internal/imgproc"
 	"repro/internal/truenorth"
 )
@@ -49,15 +48,6 @@ var goldenCells = []struct {
 }
 
 func TestGoldenSpikeTrace(t *testing.T) {
-	// Golden fixtures record the exact default path; never run — and
-	// especially never regenerate — them under a forced FastMath
-	// environment.
-	if hog.FastMathForced() {
-		if *update {
-			t.Fatal("refusing to regenerate golden fixtures with PCNN_FASTMATH set")
-		}
-		t.Skip("golden fixtures pin the exact path; skipped with PCNN_FASTMATH set")
-	}
 	for _, tc := range goldenCells {
 		t.Run(tc.name, func(t *testing.T) {
 			run := func(opts ...truenorth.Option) (*CellModule, *truenorth.Trace, []float64) {

@@ -165,7 +165,7 @@ func TestContrastScalePreservesArgmax(t *testing.T) {
 	}
 }
 
-// CellGrid must agree with per-cell CellHistogram when the cell's
+// GridInto must agree with per-cell CellHistogram when the cell's
 // context matches (interior cells of a tiled image).
 func TestCellGridMatchesCellHistogram(t *testing.T) {
 	e := mustNew(t, TrueNorthConfig(), hog.NormNone)
@@ -174,8 +174,9 @@ func TestCellGridMatchesCellHistogram(t *testing.T) {
 	_ = big
 	// Build a 24x24 image, check the center cell.
 	wide := rampCellSized(60, 0.05, 24)
-	grid := e.CellGrid(wide)
-	center := grid[1][1]
+	var g hog.Grid
+	e.GridInto(&g, wide)
+	center := g.Hist(1, 1)
 	sub := wide.SubImage(7, 7, 10, 10)
 	direct, err := e.CellHistogram(sub)
 	if err != nil {

@@ -306,15 +306,7 @@ func (e *Extractor) votePixel(r, l, u, d float64, hist []float64) {
 	ix, iy := r-l, u-d
 	switch e.cfg.Mode {
 	case VoteArgmax:
-		best, bestV := 0, e.a[0]*ix+e.b[0]*iy
-		for k := 1; k < e.cfg.NBins; k++ {
-			if m := e.a[k]*ix + e.b[k]*iy; m > bestV {
-				best, bestV = k, m
-			}
-		}
-		if bestV > 0 && bestV >= e.cfg.VoteThreshold {
-			hist[best]++
-		}
+		e.argmaxVote(ix, iy, hist)
 	case VoteThreshold:
 		th := e.cfg.VoteThreshold
 		if th <= 0 {
@@ -330,6 +322,21 @@ func (e *Extractor) votePixel(r, l, u, d float64, hist []float64) {
 	}
 }
 
+// argmaxVote votes the single bin of maximum projection of the
+// gradient (ix, iy), when that projection is positive and reaches the
+// vote threshold.
+func (e *Extractor) argmaxVote(ix, iy float64, hist []float64) {
+	best, bestV := 0, e.a[0]*ix+e.b[0]*iy
+	for k := 1; k < e.cfg.NBins; k++ {
+		if m := e.a[k]*ix + e.b[k]*iy; m > bestV {
+			best, bestV = k, m
+		}
+	}
+	if bestV > 0 && bestV >= e.cfg.VoteThreshold {
+		hist[best]++
+	}
+}
+
 // raceVote is a discrete mirror of the hardware WTA pipeline: the four
 // neighbor values are expanded to their deterministic rate-coded spike
 // trains and the projection neurons' integrate/fire/reset-subtract
@@ -341,10 +348,7 @@ func (e *Extractor) raceVote(r, l, u, d float64, hist []float64) {
 	w := e.cfg.SpikeWindow
 	if w <= 0 {
 		// Full precision has no tick structure: degenerate to argmax.
-		saved := e.cfg.Mode
-		e.cfg.Mode = VoteArgmax
-		e.votePixel(r, l, u, d, hist)
-		e.cfg.Mode = saved
+		e.argmaxVote(r-l, u-d, hist)
 		return
 	}
 	fw := float64(w)
@@ -431,17 +435,8 @@ func (e *Extractor) CellHistogramInto(hist []float64, cell *imgproc.Image) error
 	return nil
 }
 
-// CellGrid computes per-cell histograms over img, indexed [cy][cx][bin].
-func (e *Extractor) CellGrid(img *imgproc.Image) [][][]float64 {
-	var g hog.Grid
-	e.GridInto(&g, img)
-	return g.Views()
-}
-
 // GridInto computes per-cell histograms over img into g, reusing g's
-// backing storage (identical values to CellGrid). Calls on distinct
-// grids are concurrency-safe except in VoteRace mode with SpikeWindow
-// zero, whose full-precision fallback flips e.cfg.Mode in place.
+// backing storage. Calls on distinct grids are concurrency-safe.
 //
 // VoteArgmax runs as a blocked two-step kernel: the image is quantized
 // once into grid-owned scratch (each pixel was previously re-quantized
@@ -544,27 +539,10 @@ func (e *Extractor) argmaxPass(g *hog.Grid, qp []float64, iw, ih int) {
 	}
 }
 
-// Descriptor computes the 64x128-window descriptor with the block
-// layout and normalization configured at construction (7x15 blocks x 4
-// cells x NBins features; 7560 for 18 bins).
-func (e *Extractor) Descriptor(window *imgproc.Image) ([]float64, error) {
-	cfg := e.asm.Config()
-	if window.W != cfg.WindowW || window.H != cfg.WindowH {
-		return nil, fmt.Errorf("napprox: window is %dx%d, want %dx%d",
-			window.W, window.H, cfg.WindowW, cfg.WindowH)
-	}
-	return e.asm.DescriptorFromGrid(e.CellGrid(window))
-}
-
-// DescriptorAt assembles a window descriptor from a whole-image cell
-// grid with the window's top-left cell at (cellX, cellY).
-func (e *Extractor) DescriptorAt(grid [][][]float64, cellX, cellY int) ([]float64, error) {
-	return e.asm.DescriptorAt(grid, cellX, cellY)
-}
-
-// DescriptorInto appends the window descriptor at (cellX, cellY) to
-// dst — DescriptorAt without the per-window allocations. Safe for
-// concurrent callers with distinct dst buffers.
+// DescriptorInto appends the 64x128-window descriptor at (cellX,
+// cellY) to dst, with the block layout and normalization configured at
+// construction (7x15 blocks x 4 cells x NBins features; 7560 for 18
+// bins). Safe for concurrent callers with distinct dst buffers.
 //
 //pcnn:hotpath
 func (e *Extractor) DescriptorInto(dst []float64, g *hog.Grid, cellX, cellY int) ([]float64, error) {

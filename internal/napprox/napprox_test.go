@@ -19,6 +19,14 @@ func mustNew(t *testing.T, cfg Config, norm hog.NormMode) *Extractor {
 	return e
 }
 
+// descriptor returns the descriptor of the window at cell (0, 0) of
+// img's grid — the whole image when img is window-sized.
+func descriptor(e *Extractor, img *imgproc.Image) ([]float64, error) {
+	var g hog.Grid
+	e.GridInto(&g, img)
+	return e.DescriptorInto(nil, &g, 0, 0)
+}
+
 func TestConfigValidate(t *testing.T) {
 	if err := TrueNorthConfig().Validate(); err != nil {
 		t.Errorf("TrueNorthConfig invalid: %v", err)
@@ -252,15 +260,15 @@ func TestDescriptorShape(t *testing.T) {
 			win.Set(x, y, 0.5+0.3*math.Sin(float64(x+y)*0.4))
 		}
 	}
-	d, err := e.Descriptor(win)
+	d, err := descriptor(e, win)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(d) != 7560 {
 		t.Fatalf("descriptor length %d", len(d))
 	}
-	if _, err := e.Descriptor(imgproc.New(10, 10)); err == nil {
-		t.Error("bad window should error")
+	if _, err := descriptor(e, imgproc.New(10, 10)); err == nil {
+		t.Error("image smaller than a window should error")
 	}
 }
 
@@ -270,8 +278,9 @@ func TestDescriptorAtUsesGrid(t *testing.T) {
 	for i := range img.Pix {
 		img.Pix[i] = float64(i%97) / 97
 	}
-	grid := e.CellGrid(img)
-	d, err := e.DescriptorAt(grid, 1, 2)
+	var g hog.Grid
+	e.GridInto(&g, img)
+	d, err := e.DescriptorInto(nil, &g, 1, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -310,6 +319,6 @@ func BenchmarkWindowDescriptor(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_, _ = e.Descriptor(win)
+		_, _ = descriptor(e, win)
 	}
 }

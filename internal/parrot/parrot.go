@@ -322,22 +322,15 @@ func (e *Extractor) CellHistogramInto(hist []float64, cell *imgproc.Image) error
 	return nil
 }
 
-// CellGrid computes parrot histograms for every 8x8 cell of img, each
-// cell evaluated with its one-pixel border.
-func (e *Extractor) CellGrid(img *imgproc.Image) [][][]float64 {
-	var g hog.Grid
-	e.GridInto(&g, img)
-	return g.Views()
-}
-
-// GridInto computes parrot histograms for every cell of img into g,
-// reusing g's backing storage (identical values to CellGrid). One
-// bordered patch is reused across cells and histograms are written
-// straight into the grid through CellHistogramInto, so the only
-// remaining allocations are inside network inference; calls are NOT
-// concurrency-safe when Stochastic (the shared Rng serializes coding
-// draws). The descriptor block plane is prepared at the end so
-// DescriptorInto serves windows from pre-normalized copies.
+// GridInto computes parrot histograms for every 8x8 cell of img into
+// g, reusing g's backing storage; each cell is evaluated with its
+// one-pixel border. One bordered patch is reused across cells and
+// histograms are written straight into the grid through
+// CellHistogramInto, so the only remaining allocations are inside
+// network inference; calls are NOT concurrency-safe when Stochastic
+// (the shared Rng serializes coding draws). The descriptor block plane
+// is prepared at the end so DescriptorInto serves windows from
+// pre-normalized copies.
 func (e *Extractor) GridInto(g *hog.Grid, img *imgproc.Image) {
 	const cs = 8
 	cx, cy := img.W/cs, img.H/cs
@@ -370,26 +363,13 @@ func fillPatch(dst, img *imgproc.Image, x0, y0 int) {
 	}
 }
 
-// DescriptorAt assembles a 64x128-window descriptor from a grid.
-func (e *Extractor) DescriptorAt(grid [][][]float64, cellX, cellY int) ([]float64, error) {
-	return e.asm.DescriptorAt(grid, cellX, cellY)
-}
-
-// DescriptorInto appends the window descriptor at (cellX, cellY) to
-// dst — DescriptorAt without per-window allocations. Safe for
-// concurrent callers with distinct dst buffers.
+// DescriptorInto appends the 64x128-window descriptor at (cellX,
+// cellY) to dst. Safe for concurrent callers with distinct dst
+// buffers.
 //
 //pcnn:hotpath
 func (e *Extractor) DescriptorInto(dst []float64, g *hog.Grid, cellX, cellY int) ([]float64, error) {
 	return e.asm.DescriptorInto(dst, g, cellX, cellY)
-}
-
-// Descriptor computes the descriptor of a single 64x128 window.
-func (e *Extractor) Descriptor(window *imgproc.Image) ([]float64, error) {
-	if window.W != 64 || window.H != 128 {
-		return nil, fmt.Errorf("parrot: window is %dx%d, want 64x128", window.W, window.H)
-	}
-	return e.asm.DescriptorFromGrid(e.CellGrid(window))
 }
 
 // MimicryCorrelation measures how well the extractor's confidence

@@ -2,12 +2,13 @@ package parrot
 
 import (
 	"math/rand"
+	"reflect"
 	"sync"
 	"testing"
 
 	"repro/internal/eedn"
+	"repro/internal/hog"
 	"repro/internal/imgproc"
-	"repro/internal/stats"
 )
 
 func TestGenerateSamplesShapeAndDeterminism(t *testing.T) {
@@ -195,36 +196,41 @@ func TestCellHistogramSizeError(t *testing.T) {
 	}
 }
 
+// TestCellGridAndDescriptor checks the cell grid GridInto fills — every
+// cell, border cells included, must equal CellHistogram of the cell's
+// replicate-padded bordered patch — and the window descriptor served
+// from it.
 func TestCellGridAndDescriptor(t *testing.T) {
 	ex := trainSmall(t)
 	win := imgproc.New(64, 128)
 	for i := range win.Pix {
 		win.Pix[i] = float64(i%17) / 17
 	}
-	grid := ex.CellGrid(win)
-	if len(grid) != 16 || len(grid[0]) != 8 {
-		t.Fatalf("grid %dx%d", len(grid[0]), len(grid))
+	var g hog.Grid
+	ex.GridInto(&g, win)
+	if g.CellsY != 16 || g.CellsX != 8 {
+		t.Fatalf("grid %dx%d", g.CellsX, g.CellsY)
 	}
-	d, err := ex.Descriptor(win)
+	for cy := 0; cy < g.CellsY; cy++ {
+		for cx := 0; cx < g.CellsX; cx++ {
+			want, err := ex.CellHistogram(win.SubImage(cx*8-1, cy*8-1, CellSide, CellSide))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(g.Hist(cx, cy), want) {
+				t.Fatalf("cell (%d,%d): grid %v, CellHistogram %v", cx, cy, g.Hist(cx, cy), want)
+			}
+		}
+	}
+	d, err := ex.DescriptorInto(nil, &g, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(d) != 7560 {
 		t.Errorf("descriptor len %d, want 7560", len(d))
 	}
-	if _, err := ex.Descriptor(imgproc.New(8, 8)); err == nil {
-		t.Error("bad window should error")
-	}
-	d2, err := ex.DescriptorAt(grid, 0, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r, err := stats.Pearson(d, d2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r < 0.999 {
-		t.Errorf("DescriptorAt should match Descriptor: r=%v", r)
+	if _, err := ex.DescriptorInto(nil, &g, 1, 0); err == nil {
+		t.Error("window past the grid edge should error")
 	}
 }
 
@@ -237,7 +243,9 @@ func TestSetNorm(t *testing.T) {
 	if err := ex.SetNorm(1 /* hog.NormL2 */); err != nil {
 		t.Fatal(err)
 	}
-	d, err := ex.Descriptor(win)
+	var g hog.Grid
+	ex.GridInto(&g, win)
+	d, err := ex.DescriptorInto(nil, &g, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
