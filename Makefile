@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: build test check vet race lint perfbench-check bench bench-obs bench-sim bench-detect bench-gate fuzz clean
+.PHONY: build test check vet race lint perfbench-check perfbench-layout bench bench-obs bench-sim bench-detect bench-gate fuzz clean
 
 # FUZZTIME bounds each fuzz target's smoke run (the committed seed
 # corpora under internal/truenorth/testdata/fuzz always run as plain
@@ -26,14 +26,14 @@ vet:
 race:
 	$(GO) test -race ./...
 
-# lint runs the repo's custom static-analysis suite: the per-file
-# AST analyzers (determinism, wall-clock, fixed-point,
-# telemetry-gating, panic invariants) plus the type-aware
-# whole-program analyzers (hot-path allocation proof, map-order
-# determinism, goroutine joins, enum-switch exhaustiveness), with the
-# suppression count gated against the committed lint_budget.json. It
-# also statically validates the built-in corelet against the
-# TrueNorth hardware envelope. See cmd/pcnn-lint.
+# lint runs the repo's custom static-analysis suite: nine analyzers
+# over one type-checked load of the module (determinism, wall-clock,
+# fixed-point, telemetry-gating and panic invariants, the hot-path
+# allocation proof, map-order determinism, goroutine joins and
+# enum-switch exhaustiveness), with the suppression count gated
+# against the committed lint_budget.json. It also statically
+# validates the built-in corelet against the TrueNorth hardware
+# envelope. See cmd/pcnn-lint.
 lint:
 	$(GO) run ./cmd/pcnn-lint -budget lint_budget.json
 	$(GO) run ./cmd/pcnn-lint -model builtin
@@ -46,6 +46,25 @@ check: build vet lint test race
 # partition and detector APIs.
 perfbench-check:
 	cd perfbench && $(GO) vet . && $(GO) test .
+
+# perfbench-layout builds the benchmark binary exactly as
+# perfbench/run.sh does and prints where the linker placed the two
+# loops whose speed depends on their 64-byte alignment (ROADMAP item
+# 1): address and address mod 64 of eedn.(*Dense).preact and
+# svm.(*Model).Score, then a SHA-256 of the binary's sorted text-symbol
+# table. Two trees that print the same lines link the benchmark's code
+# identically, so a benchmark difference between them is not placement.
+BENCH_BUILD = $(CURDIR)/.bench_build
+perfbench-layout:
+	@mkdir -p $(BENCH_BUILD)/gocache $(BENCH_BUILD)/gopath $(BENCH_BUILD)/tmp
+	@cd perfbench && GOCACHE=$(BENCH_BUILD)/gocache GOPATH=$(BENCH_BUILD)/gopath \
+		GOTMPDIR=$(BENCH_BUILD)/tmp GOENV=off GOPROXY=off GOFLAGS= GOWORK=off \
+		GOTOOLCHAIN=local $(GO) build -o $(BENCH_BUILD)/perfbench .
+	@$(GO) tool nm $(BENCH_BUILD)/perfbench | \
+		awk '$$3 == "repro/internal/eedn.(*Dense).preact" || $$3 == "repro/internal/svm.(*Model).Score" { print $$1, $$3 }' | \
+		while read addr sym; do echo "$$sym 0x$$addr mod64=$$((0x$$addr % 64))"; done
+	@$(GO) tool nm $(BENCH_BUILD)/perfbench | awk '$$2 == "T" || $$2 == "t"' | sort | sha256sum | \
+		awk '{ print "text-symbols sha256 " $$1 }'
 
 # bench regenerates the paper's tables/figures as benchmarks.
 bench:

@@ -1,11 +1,11 @@
 // Command pcnn-lint is the repo's static-analysis gate. It has two
 // modes:
 //
-// Source mode (default) type-checks the whole module and runs the full
-// analyzer suite — the AST checks (detrand, walltime, floatfixed,
-// obsgate, errpanic) plus the type-aware, cross-package checks
-// (hotalloc, maporder, goleak, exhaustive) — and exits nonzero if any
-// finding survives its //lint:allow directives:
+// Source mode (default) type-checks the whole module once and runs the
+// nine analyzers of internal/analysis over it (detrand, walltime,
+// floatfixed, obsgate, errpanic, hotalloc, maporder, goleak,
+// exhaustive), and exits nonzero if any finding survives its
+// //lint:allow directives:
 //
 //	pcnn-lint                      # lint the whole module
 //	pcnn-lint internal/...         # restrict reporting to a subtree
@@ -133,7 +133,7 @@ func runSource(opts lintOptions, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "pcnn-lint:", err)
 		return 2
 	}
-	diags := analysis.LintProgram(prog, analysis.DefaultAnalyzers(), analysis.DefaultProgramAnalyzers())
+	diags := analysis.LintProgram(prog, analysis.DefaultAnalyzers())
 
 	findings := make([]jsonFinding, 0, len(diags))
 	for _, d := range diags {

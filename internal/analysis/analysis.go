@@ -1,20 +1,30 @@
-// Package analysis is the repo's custom static-analysis suite,
-// written against the standard library's go/ast and go/parser only
-// (the module deliberately has zero dependencies, so golang.org/x/tools
-// is off limits). It enforces the invariants the paper's methodology
-// rests on — a validated, bit-reproducible simulator under fixed
-// TrueNorth resource constraints:
+// Package analysis is the repo's custom static-analysis suite, written
+// against the standard library only (go/parser, go/ast, go/types and
+// go/importer; the module deliberately has zero dependencies, so
+// golang.org/x/tools is off limits). Every analyzer runs on the one
+// type-checked Program that LoadProgram builds and resolves names
+// through its type information, never by spelling. The suite enforces
+// the invariants the paper's methodology rests on — a validated,
+// bit-reproducible simulator under fixed TrueNorth resource
+// constraints and a bit-exact fixed-point datapath:
 //
 //   - detrand:    no global math/rand in the deterministic packages;
 //     RNGs are threaded as seeded *rand.Rand values.
 //   - walltime:   no wall-clock reads outside internal/obs or
 //     obs.Enabled()-gated telemetry boundaries, keeping runs replayable.
 //   - floatfixed: no float arithmetic inside fixed-point datapaths
-//     except through the Q.FromFloat/Q.ToFloat boundary.
+//     except through the fixed.Q FromFloat/ToFloat boundary.
 //   - obsgate:    telemetry publishes inside loops must sit behind an
 //     obs.Enabled() check or at a coarse boundary.
 //   - errpanic:   no panic in library packages where error returns are
 //     the convention.
+//   - hotalloc:   //pcnn:hotpath functions and everything they call are
+//     allocation-free, proven over the resolved call graph.
+//   - maporder:   no order-sensitive work inside range-over-map loops.
+//   - goleak:     every goroutine a library package launches has a
+//     visible join.
+//   - exhaustive: switches over enum-like const sets cover every member
+//     or declare a default.
 //
 // Findings are suppressed one call site at a time with a
 //
@@ -30,13 +40,10 @@ package analysis
 import (
 	"fmt"
 	"go/ast"
-	"go/parser"
 	"go/token"
-	"io/fs"
 	"os"
 	"path/filepath"
 	"sort"
-	"strings"
 )
 
 // Diagnostic is one finding.
@@ -51,26 +58,20 @@ func (d Diagnostic) String() string {
 	return fmt.Sprintf("%s:%d:%d: %s: %s", d.Pos.Filename, d.Pos.Line, d.Pos.Column, d.Analyzer, d.Message)
 }
 
-// File is one parsed source file handed to analyzers.
+// File is one parsed source file of a loaded package.
 type File struct {
 	Fset *token.FileSet
 	AST  *ast.File
-	// Path is the file path as given to the loader.
+	// Path is the file path as given to the parser.
 	Path string
 	// Pkg is the slash-separated package directory relative to the
 	// module root, e.g. "internal/truenorth".
 	Pkg string
-	// IsTest reports a _test.go file. Analyzers enforce invariants on
-	// non-test code only.
+	// IsTest reports a _test.go file. Test files are parsed so their
+	// directives count, but they are not type-checked and analyzers
+	// never see them.
 	IsTest bool
-	// Typed reports that the file participated in type checking and is
-	// covered by its Package's Info (set by the program loader; always
-	// false for files loaded standalone via LoadFile).
-	Typed bool
 }
-
-// PkgName returns the declared package name.
-func (f *File) PkgName() string { return f.AST.Name.Name }
 
 // Diag constructs a diagnostic at node's position.
 func (f *File) Diag(analyzer string, node ast.Node, format string, args ...any) Diagnostic {
@@ -81,107 +82,61 @@ func (f *File) Diag(analyzer string, node ast.Node, format string, args ...any) 
 	}
 }
 
-// Analyzer is one source check. Run returns raw findings; directive
-// suppression is applied by the driver.
+// Analyzer is one check over the type-checked program. Run returns raw
+// findings; directive suppression is applied by LintProgram.
 type Analyzer struct {
 	Name string
 	Doc  string
-	Run  func(f *File) []Diagnostic
+	Run  func(p *Program) []Diagnostic
 }
 
 // DefaultAnalyzers returns the full suite in reporting order.
 func DefaultAnalyzers() []*Analyzer {
-	return []*Analyzer{Detrand, Walltime, FloatFixed, ObsGate, ErrPanic}
+	return []*Analyzer{Detrand, Walltime, FloatFixed, ObsGate, ErrPanic, HotAlloc, MapOrder, GoLeak, Exhaustive}
 }
 
-// LoadFile parses one file into a File. pkg is its module-relative
-// directory.
-func LoadFile(fset *token.FileSet, path, pkg string) (*File, error) {
-	src, err := parser.ParseFile(fset, path, nil, parser.ParseComments)
-	if err != nil {
-		return nil, err
-	}
-	return &File{
-		Fset:   fset,
-		AST:    src,
-		Path:   path,
-		Pkg:    pkg,
-		IsTest: strings.HasSuffix(path, "_test.go"),
-	}, nil
-}
-
-// LintRoot walks the module rooted at root, runs the analyzers over
-// every non-testdata Go file, applies //lint:allow directives, and
-// returns the surviving diagnostics sorted by position. Malformed and
-// unused directives are reported as diagnostics of the "lint"
-// pseudo-analyzer.
-func LintRoot(root string, analyzers []*Analyzer) ([]Diagnostic, error) {
-	if abs, err := filepath.Abs(root); err == nil {
-		root = abs
-	}
-	var paths []string
-	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
+// LintProgram runs the analyzers over the program, applies the
+// //lint:allow directives of every file (test files included), and
+// returns the surviving diagnostics sorted by position. Malformed
+// directives, and directives that name an analyzer that ran yet
+// suppress nothing, are reported under the "lint" pseudo-analyzer.
+func LintProgram(p *Program, analyzers []*Analyzer) []Diagnostic {
+	dirs := map[string]*directiveSet{} // filename -> directives
+	var files []string
+	for _, pkg := range p.Pkgs {
+		for _, f := range pkg.Files {
+			dirs[f.Path] = parseDirectives(f)
+			files = append(files, f.Path)
 		}
-		if d.IsDir() {
-			name := d.Name()
-			if name == "testdata" || strings.HasPrefix(name, ".") && path != root {
-				return filepath.SkipDir
-			}
-			return nil
-		}
-		if strings.HasSuffix(path, ".go") {
-			paths = append(paths, path)
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
 	}
-	sort.Strings(paths)
-
-	// Package paths are module-relative regardless of which subtree is
-	// being linted, so analyzer scoping (internal/truenorth, ...) works
-	// when pointed at a subdirectory.
-	base := root
-	if mod, err := ModuleRoot(root); err == nil {
-		base = mod
-	}
-
-	fset := token.NewFileSet()
-	var out []Diagnostic
-	for _, path := range paths {
-		rel, err := filepath.Rel(base, path)
-		if err != nil {
-			rel = path
-		}
-		pkg := filepath.ToSlash(filepath.Dir(rel))
-		f, err := LoadFile(fset, path, pkg)
-		if err != nil {
-			return nil, fmt.Errorf("analysis: %w", err)
-		}
-		out = append(out, LintFile(f, analyzers)...)
-	}
-	sortDiagnostics(out)
-	return out, nil
-}
-
-// LintFile runs the analyzers over one file and applies its
-// //lint:allow directives.
-func LintFile(f *File, analyzers []*Analyzer) []Diagnostic {
-	dirs := parseDirectives(f)
-	ran := make(map[string]bool, len(analyzers))
+	ran := map[string]bool{}
 	var out []Diagnostic
 	for _, a := range analyzers {
 		ran[a.Name] = true
-		for _, d := range a.Run(f) {
-			if !dirs.suppress(d) {
+		for _, d := range a.Run(p) {
+			if set := dirs[d.Pos.Filename]; set == nil || !set.suppress(d) {
 				out = append(out, d)
 			}
 		}
 	}
-	out = append(out, dirs.problems(ran)...)
+	for _, name := range files {
+		out = append(out, dirs[name].problems(ran)...)
+	}
+	sortDiagnostics(out)
+	return out
+}
+
+// AllowCounts tallies the module's well-formed //lint:allow directives
+// per analyzer, the quantity the suppression budget bounds.
+func (p *Program) AllowCounts() map[string]int {
+	out := map[string]int{}
+	for _, pkg := range p.Pkgs {
+		for _, f := range pkg.Files {
+			for _, dir := range parseDirectives(f).all {
+				out[dir.analyzer]++
+			}
+		}
+	}
 	return out
 }
 

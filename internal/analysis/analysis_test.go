@@ -3,7 +3,6 @@ package analysis
 import (
 	"flag"
 	"fmt"
-	"go/token"
 	"os"
 	"path/filepath"
 	"sort"
@@ -13,72 +12,57 @@ import (
 
 var update = flag.Bool("update", false, "rewrite golden expectation files")
 
-// fixtureCase binds one testdata directory to the analyzer under test
-// and the module-relative package paths its files impersonate.
-type fixtureCase struct {
+// fixtureCases binds each analyzer to its fixture module under
+// testdata/<name>: a self-contained mini-module (module fixture) whose
+// packages sit at the module-relative paths the analyzer scopes on,
+// with small stubs of internal/obs and internal/fixed where the
+// analyzer resolves calls into them. Every bad*.go file must produce
+// findings and every good*.go file none.
+var fixtureCases = []struct {
 	name     string
 	analyzer *Analyzer
-	// pkgs maps fixture file name to the package path it poses as;
-	// the "" key is the default for the directory.
-	pkgs map[string]string
-}
-
-var fixtureCases = []fixtureCase{
-	{"detrand", Detrand, map[string]string{"": "internal/truenorth"}},
-	{"walltime", Walltime, map[string]string{"": "internal/eedn"}},
-	{"floatfixed", FloatFixed, map[string]string{
-		"":                 "internal/fixed",
-		"consumer_bad.go":  "internal/hog",
-		"consumer_good.go": "internal/hog",
-	}},
-	{"obsgate", ObsGate, map[string]string{"": "internal/detect"}},
-	{"errpanic", ErrPanic, map[string]string{"": "internal/svm"}},
-	{"directives", ErrPanic, map[string]string{"": "internal/svm"}},
+}{
+	{"detrand", Detrand},
+	{"walltime", Walltime},
+	{"floatfixed", FloatFixed},
+	{"obsgate", ObsGate},
+	{"errpanic", ErrPanic},
+	{"directives", ErrPanic},
+	{"hotalloc", HotAlloc},
+	{"maporder", MapOrder},
+	{"goleak", GoLeak},
+	{"exhaustive", Exhaustive},
 }
 
 // TestAnalyzerFixtures is the golden-file harness: every analyzer runs
-// over its positive (bad*) and negative (good*) fixtures and the
-// formatted findings must match testdata/<name>/expect.txt exactly.
+// over its fixture module and the formatted findings must match
+// testdata/<name>/expect.txt exactly.
 // Regenerate with go test ./internal/analysis -run Fixtures -update.
 func TestAnalyzerFixtures(t *testing.T) {
 	for _, tc := range fixtureCases {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := filepath.Join("testdata", tc.name)
-			entries, err := os.ReadDir(dir)
+			prog, err := LoadProgram(dir)
 			if err != nil {
-				t.Fatal(err)
+				t.Fatalf("loading fixture module: %v", err)
 			}
-			fset := token.NewFileSet()
 			var got []string
-			badFindings, goodFindings := 0, 0
-			for _, e := range entries {
-				if !strings.HasSuffix(e.Name(), ".go") {
-					continue
-				}
-				pkg := tc.pkgs[e.Name()]
-				if pkg == "" {
-					pkg = tc.pkgs[""]
-				}
-				f, err := LoadFile(fset, filepath.Join(dir, e.Name()), pkg)
-				if err != nil {
-					t.Fatalf("parse %s: %v", e.Name(), err)
-				}
-				for _, d := range LintFile(f, []*Analyzer{tc.analyzer}) {
-					got = append(got, fmt.Sprintf("%s:%d: %s: %s",
-						filepath.Base(d.Pos.Filename), d.Pos.Line, d.Analyzer, d.Message))
+			perFile := map[string]int{}
+			for _, d := range LintProgram(prog, []*Analyzer{tc.analyzer}) {
+				base := filepath.Base(d.Pos.Filename)
+				got = append(got, fmt.Sprintf("%s:%d: %s: %s", base, d.Pos.Line, d.Analyzer, d.Message))
+				perFile[base]++
+			}
+			for _, pkg := range prog.Pkgs {
+				for _, f := range pkg.Files {
+					base := filepath.Base(f.Path)
 					switch {
-					case strings.Contains(e.Name(), "bad"):
-						badFindings++
-					case strings.Contains(e.Name(), "good"):
-						goodFindings++
+					case strings.Contains(base, "bad") && perFile[base] == 0:
+						t.Errorf("%s: positive fixture produced no findings; the analyzer would not fail without its check", base)
+					case strings.Contains(base, "good") && perFile[base] != 0:
+						t.Errorf("%s: negative fixture produced %d findings; analyzer over-triggers", base, perFile[base])
 					}
 				}
-				if strings.Contains(e.Name(), "bad") && badFindings == 0 {
-					t.Errorf("%s: positive fixture produced no findings; the analyzer would not fail without its check", e.Name())
-				}
-			}
-			if goodFindings != 0 {
-				t.Errorf("negative fixtures produced %d findings; analyzer over-triggers", goodFindings)
 			}
 			sort.Strings(got)
 			text := strings.Join(got, "\n")
@@ -108,12 +92,11 @@ func TestAnalyzerFixtures(t *testing.T) {
 // golden file relies on: reasons are mandatory, same-line and
 // line-above placements work, and unused directives surface.
 func TestDirectiveSuppression(t *testing.T) {
-	fset := token.NewFileSet()
-	f, err := LoadFile(fset, filepath.Join("testdata", "directives", "mixed.go"), "internal/svm")
+	prog, err := LoadProgram(filepath.Join("testdata", "directives"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	diags := LintFile(f, []*Analyzer{ErrPanic})
+	diags := LintProgram(prog, []*Analyzer{ErrPanic})
 	byAnalyzer := map[string]int{}
 	for _, d := range diags {
 		byAnalyzer[d.Analyzer]++
@@ -125,22 +108,5 @@ func TestDirectiveSuppression(t *testing.T) {
 	}
 	if byAnalyzer["lint"] != 2 {
 		t.Errorf("lint directive findings = %d, want 2 (malformed + unused)", byAnalyzer["lint"])
-	}
-}
-
-// TestLintRootSelf runs the full default suite over this package's own
-// sources (never testdata), which must be clean — the suite lints the
-// linter.
-func TestLintRootSelf(t *testing.T) {
-	root, err := ModuleRoot(".")
-	if err != nil {
-		t.Fatal(err)
-	}
-	diags, err := LintRoot(filepath.Join(root, "internal", "analysis"), DefaultAnalyzers())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, d := range diags {
-		t.Errorf("unexpected finding: %s", d)
 	}
 }

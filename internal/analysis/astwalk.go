@@ -2,101 +2,87 @@ package analysis
 
 import (
 	"go/ast"
-	"path"
-	"strconv"
+	"go/types"
 	"strings"
 )
 
-// AST helpers shared by the analyzers. The suite runs on the standard
-// parser only (no go/types, no golang.org/x/tools), so package
-// references are resolved with the parser's lexical object resolution:
-// an identifier in selector position refers to an imported package iff
-// it is not bound to any local or file-level declaration. That is
-// exactly the distinction that matters for determinism lints — e.g.
-// `rand.Uint32()` on a threaded `rand NoiseSource` parameter is fine,
-// while the same spelling resolving to the math/rand import is not.
+// AST helpers shared by the analyzers. Names resolve through the
+// package's type information, never by spelling: a parameter named
+// rand is the parameter, a dot-imported Intn is math/rand.Intn, and a
+// method that happens to share a package function's name is neither.
 
-// importsOf maps local import names ("rand", "mrand", "obs") to import
-// paths for one file. Dot and blank imports are ignored.
-func importsOf(f *File) map[string]string {
-	out := make(map[string]string, len(f.AST.Imports))
-	for _, spec := range f.AST.Imports {
-		p, err := strconv.Unquote(spec.Path.Value)
-		if err != nil {
-			continue
+// eachFile runs check over every typed (non-test) file of the program
+// and concatenates the findings.
+func (p *Program) eachFile(check func(pkg *Package, f *File) []Diagnostic) []Diagnostic {
+	var out []Diagnostic
+	for _, pkg := range p.Pkgs {
+		for _, f := range pkg.TypedFiles() {
+			out = append(out, check(pkg, f)...)
 		}
-		name := path.Base(p)
-		if spec.Name != nil {
-			name = spec.Name.Name
-		}
-		if name == "." || name == "_" {
-			continue
-		}
-		out[name] = p
 	}
 	return out
 }
 
-// pkgOfIdent returns the import path id refers to, or "" when id is
-// bound to a local declaration (parameter, variable, field, ...) or
-// does not name an import of this file.
-func pkgOfIdent(f *File, imports map[string]string, id *ast.Ident) string {
-	p, ok := imports[id.Name]
-	if !ok {
-		return ""
+// funcOf returns the package-level function expr names, spelled pkg.Name
+// or as a bare identifier (same package or dot import), or nil when
+// expr names anything else: a method, a variable, a builtin, a type.
+func funcOf(info *types.Info, expr ast.Expr) *types.Func {
+	var id *ast.Ident
+	switch e := ast.Unparen(expr).(type) {
+	case *ast.Ident:
+		id = e
+	case *ast.SelectorExpr:
+		id = e.Sel
+	default:
+		return nil
 	}
-	if id.Obj != nil {
-		// The parser bound the identifier to a declaration. Only an
-		// import-spec binding still means "the package"; anything else
-		// (a parameter named rand, a local named time) shadows it.
-		if _, isImport := id.Obj.Decl.(*ast.ImportSpec); !isImport {
-			return ""
-		}
+	fn, ok := info.Uses[id].(*types.Func)
+	if !ok || fn.Pkg() == nil || fn.Type().(*types.Signature).Recv() != nil {
+		return nil
 	}
-	return p
+	return fn
 }
 
-// pkgSelector returns (importPath, selName, true) when expr is a
-// selector pkg.Name on an imported, unshadowed package identifier.
-func pkgSelector(f *File, imports map[string]string, expr ast.Expr) (string, string, bool) {
-	sel, ok := expr.(*ast.SelectorExpr)
-	if !ok {
-		return "", "", false
-	}
-	id, ok := sel.X.(*ast.Ident)
-	if !ok {
-		return "", "", false
-	}
-	p := pkgOfIdent(f, imports, id)
-	if p == "" {
-		return "", "", false
-	}
-	return p, sel.Sel.Name, true
-}
-
-// pkgCall returns (importPath, funcName, true) when call invokes a
-// top-level function of an imported package.
-func pkgCall(f *File, imports map[string]string, call *ast.CallExpr) (string, string, bool) {
-	return pkgSelector(f, imports, call.Fun)
-}
-
-// containsPkgCall reports whether any call to pkg.name occurs within
-// node.
-func containsPkgCall(f *File, imports map[string]string, node ast.Node, pkg, name string) bool {
-	found := false
-	ast.Inspect(node, func(n ast.Node) bool {
-		if found {
-			return false
-		}
-		if call, ok := n.(*ast.CallExpr); ok {
-			if p, s, ok := pkgCall(f, imports, call); ok && p == pkg && s == name {
-				found = true
-				return false
+// funcRef returns the package-level function n refers to when n is a
+// whole reference to one — a selector, or an identifier that is not a
+// selector's Sel — so that each reference is seen once; else nil.
+// stack holds n's ancestors, as walkWithStack passes them.
+func funcRef(info *types.Info, n ast.Node, stack []ast.Node) *types.Func {
+	switch x := n.(type) {
+	case *ast.SelectorExpr:
+		return funcOf(info, x)
+	case *ast.Ident:
+		if len(stack) > 0 {
+			if sel, ok := stack[len(stack)-1].(*ast.SelectorExpr); ok && sel.Sel == x {
+				return nil
 			}
 		}
-		return true
-	})
-	return found
+		return funcOf(info, x)
+	}
+	return nil
+}
+
+// obsGatedFuncs returns the top-level functions of f that call
+// obs.Enabled() anywhere. Such a function is a telemetry boundary: its
+// clock reads and publishes exist to be published, and the Enabled()
+// check is what keeps them off the replayed path.
+func obsGatedFuncs(info *types.Info, f *File, obsPath string) map[*ast.FuncDecl]bool {
+	gated := map[*ast.FuncDecl]bool{}
+	for _, decl := range f.AST.Decls {
+		fd, ok := decl.(*ast.FuncDecl)
+		if !ok || fd.Body == nil {
+			continue
+		}
+		ast.Inspect(fd.Body, func(n ast.Node) bool {
+			if call, ok := n.(*ast.CallExpr); ok {
+				if fn := funcOf(info, call.Fun); fn != nil && fn.Pkg().Path() == obsPath && fn.Name() == "Enabled" {
+					gated[fd] = true
+				}
+			}
+			return !gated[fd]
+		})
+	}
+	return gated
 }
 
 // walkWithStack traverses f.AST invoking visit with each node and the

@@ -38,26 +38,22 @@ var detrandGlobal = map[string]bool{
 	"Perm": true, "Shuffle": true, "Read": true, "Seed": true,
 }
 
-func runDetrand(f *File) []Diagnostic {
-	if f.IsTest || !detrandPkgs[f.Pkg] {
-		return nil
-	}
-	imports := importsOf(f)
-	var out []Diagnostic
-	ast.Inspect(f.AST, func(n ast.Node) bool {
-		sel, ok := n.(*ast.SelectorExpr)
-		if !ok {
-			return true
+func runDetrand(p *Program) []Diagnostic {
+	return p.eachFile(func(pkg *Package, f *File) []Diagnostic {
+		if !detrandPkgs[f.Pkg] {
+			return nil
 		}
-		pkg, name, ok := pkgSelector(f, imports, sel)
-		if !ok || (pkg != "math/rand" && pkg != "math/rand/v2") {
-			return true
-		}
-		if detrandGlobal[name] {
-			out = append(out, f.Diag("detrand", sel,
-				"global math/rand.%s breaks seed-reproducibility; thread a seeded *rand.Rand (e.g. rand.New(rand.NewSource(seed)))", name))
-		}
-		return true
+		var out []Diagnostic
+		walkWithStack(f, func(n ast.Node, stack []ast.Node) {
+			fn := funcRef(pkg.Info, n, stack)
+			if fn == nil || !detrandGlobal[fn.Name()] {
+				return
+			}
+			if path := fn.Pkg().Path(); path == "math/rand" || path == "math/rand/v2" {
+				out = append(out, f.Diag("detrand", n,
+					"global math/rand.%s breaks seed-reproducibility; thread a seeded *rand.Rand (e.g. rand.New(rand.NewSource(seed)))", fn.Name()))
+			}
+		})
+		return out
 	})
-	return out
 }

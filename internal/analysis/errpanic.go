@@ -2,6 +2,7 @@ package analysis
 
 import (
 	"go/ast"
+	"go/types"
 	"strings"
 )
 
@@ -20,30 +21,27 @@ var ErrPanic = &Analyzer{
 	Run:  runErrPanic,
 }
 
-func runErrPanic(f *File) []Diagnostic {
-	if f.IsTest || f.PkgName() == "main" {
-		return nil
-	}
-	if strings.HasPrefix(f.Pkg, "cmd/") || strings.HasPrefix(f.Pkg, "examples/") {
-		return nil
-	}
-	var out []Diagnostic
-	ast.Inspect(f.AST, func(n ast.Node) bool {
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
+func runErrPanic(p *Program) []Diagnostic {
+	return p.eachFile(func(pkg *Package, f *File) []Diagnostic {
+		if pkg.Types.Name() == "main" || strings.HasPrefix(f.Pkg, "cmd/") || strings.HasPrefix(f.Pkg, "examples/") {
+			return nil
 		}
-		id, ok := call.Fun.(*ast.Ident)
-		if !ok || id.Name != "panic" {
+		var out []Diagnostic
+		ast.Inspect(f.AST, func(n ast.Node) bool {
+			call, ok := n.(*ast.CallExpr)
+			if !ok {
+				return true
+			}
+			// Only the builtin counts: a local function named panic
+			// shadows it.
+			if id, ok := call.Fun.(*ast.Ident); ok {
+				if _, builtin := pkg.Info.Uses[id].(*types.Builtin); builtin && id.Name == "panic" {
+					out = append(out, f.Diag("errpanic", call,
+						"panic in library package %s; return an error (or annotate a construction invariant with //lint:allow errpanic <reason>)", f.Pkg))
+				}
+			}
 			return true
-		}
-		if id.Obj != nil {
-			// A local function named panic shadows the builtin.
-			return true
-		}
-		out = append(out, f.Diag("errpanic", call,
-			"panic in library package %s; return an error (or annotate a construction invariant with //lint:allow errpanic <reason>)", f.Pkg))
-		return true
+		})
+		return out
 	})
-	return out
 }

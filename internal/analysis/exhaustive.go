@@ -19,27 +19,25 @@ import (
 // Constant values, not names, decide coverage, so aliased members
 // count. Type switches are out of scope, as are switches over
 // non-module or non-basic types.
-var Exhaustive = &ProgramAnalyzer{
+var Exhaustive = &Analyzer{
 	Name: "exhaustive",
 	Doc:  "require switches over enum-like const sets to cover all members or declare a default",
 	Run:  runExhaustive,
 }
 
 func runExhaustive(p *Program) []Diagnostic {
-	var out []Diagnostic
-	for _, pkg := range p.Pkgs {
-		for _, f := range pkg.TypedFiles() {
-			ast.Inspect(f.AST, func(n ast.Node) bool {
-				sw, ok := n.(*ast.SwitchStmt)
-				if !ok || sw.Tag == nil {
-					return true
-				}
-				out = append(out, checkSwitch(p, f, pkg.Info, sw)...)
+	return p.eachFile(func(pkg *Package, f *File) []Diagnostic {
+		var out []Diagnostic
+		ast.Inspect(f.AST, func(n ast.Node) bool {
+			sw, ok := n.(*ast.SwitchStmt)
+			if !ok || sw.Tag == nil {
 				return true
-			})
-		}
-	}
-	return out
+			}
+			out = append(out, checkSwitch(p, f, pkg.Info, sw)...)
+			return true
+		})
+		return out
+	})
 }
 
 func checkSwitch(p *Program, f *File, info *types.Info, sw *ast.SwitchStmt) []Diagnostic {

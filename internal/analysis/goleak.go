@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"go/ast"
 	"go/types"
-	"strings"
 )
 
 // GoLeak requires every go statement in a library package (internal/*)
@@ -29,39 +28,37 @@ import (
 // Goroutines in cmd/ main packages are exempt — a process exit is
 // their join. The check is per launch site; a launcher with two
 // goroutines needs evidence for each.
-var GoLeak = &ProgramAnalyzer{
+var GoLeak = &Analyzer{
 	Name: "goleak",
 	Doc:  "require a visible join for every goroutine launched in library packages",
 	Run:  runGoLeak,
 }
 
 func runGoLeak(p *Program) []Diagnostic {
-	var out []Diagnostic
-	for _, pkg := range p.Pkgs {
-		if !strings.HasPrefix(pkg.Dir, "internal/") && pkg.Dir != "internal" {
-			continue
+	return p.eachFile(func(pkg *Package, f *File) []Diagnostic {
+		if !isInternalPkg(f) {
+			return nil
 		}
-		for _, f := range pkg.TypedFiles() {
-			for _, decl := range f.AST.Decls {
-				fd, ok := decl.(*ast.FuncDecl)
-				if !ok || fd.Body == nil {
-					continue
-				}
-				ast.Inspect(fd.Body, func(n ast.Node) bool {
-					g, ok := n.(*ast.GoStmt)
-					if !ok {
-						return true
-					}
-					if !goroutineJoined(pkg.Info, fd, g) {
-						out = append(out, f.Diag("goleak", g,
-							"goroutine launched without a visible join (WaitGroup Wait, channel join, Close/Stop handle, or context bound)"))
-					}
-					return true
-				})
+		var out []Diagnostic
+		for _, decl := range f.AST.Decls {
+			fd, ok := decl.(*ast.FuncDecl)
+			if !ok || fd.Body == nil {
+				continue
 			}
+			ast.Inspect(fd.Body, func(n ast.Node) bool {
+				g, ok := n.(*ast.GoStmt)
+				if !ok {
+					return true
+				}
+				if !goroutineJoined(pkg.Info, fd, g) {
+					out = append(out, f.Diag("goleak", g,
+						"goroutine launched without a visible join (WaitGroup Wait, channel join, Close/Stop handle, or context bound)"))
+				}
+				return true
+			})
 		}
-	}
-	return out
+		return out
+	})
 }
 
 // goroutineJoined looks for any accepted join evidence for one launch.

@@ -46,7 +46,7 @@ import (
 // implementations that are out of the 0-alloc envelope (for example a
 // Scorer that allocates per window). Roots themselves cannot be
 // excluded; their findings are suppressed line by line or fixed.
-var HotAlloc = &ProgramAnalyzer{
+var HotAlloc = &Analyzer{
 	Name: "hotalloc",
 	Doc:  "prove //pcnn:hotpath functions and their transitive callees allocation-free",
 	Run:  runHotAlloc,

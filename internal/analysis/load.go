@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"go/ast"
 	"go/importer"
+	"go/parser"
 	"go/token"
 	"go/types"
 	"io/fs"
@@ -13,17 +14,15 @@ import (
 	"strings"
 )
 
-// Whole-program type loader. The AST-only analyzers (detrand, walltime,
-// floatfixed, obsgate, errpanic) deliberately run on the bare parser;
-// the type-aware analyzers (hotalloc, maporder, goleak, exhaustive)
-// need resolved types and a cross-package call graph, which this file
-// provides using only the standard library: go/parser for syntax,
-// go/types for checking, and go/importer for the dependencies outside
-// the module. Module-internal imports ("repro/...") are resolved by
-// type-checking the imported directory recursively; everything else is
-// satisfied by the compiler's export data when available, falling back
-// to type-checking the dependency from GOROOT source, so the loader
-// works on a bare toolchain with no installed package artifacts.
+// Whole-program type loader. Every analyzer of the suite runs on the
+// Program built here, which uses only the standard library: go/parser
+// for syntax, go/types for checking, and go/importer for the
+// dependencies outside the module. Module-internal imports (<module>/...) are
+// resolved by type-checking the imported directory recursively;
+// everything else is satisfied by the compiler's export data when
+// available, falling back to type-checking the dependency from GOROOT
+// source, so the loader works on a bare toolchain with no installed
+// package artifacts.
 
 // Package is one type-checked package of the module.
 type Package struct {
@@ -32,9 +31,8 @@ type Package struct {
 	// Dir is the module-relative directory, e.g. "internal/detect".
 	Dir string
 	// Files holds every parsed .go file of the directory. Test files
-	// are parsed (so their directives are honored and the AST-only
-	// analyzers still see them) but excluded from type checking; only
-	// files with Typed set participate in Types/Info.
+	// are parsed, so their directives are honored and counted, but
+	// excluded from type checking; TypedFiles lists the rest.
 	Files []*File
 	// Types is the type-checked package object.
 	Types *types.Package
@@ -47,7 +45,7 @@ type Package struct {
 func (p *Package) TypedFiles() []*File {
 	out := make([]*File, 0, len(p.Files))
 	for _, f := range p.Files {
-		if f.Typed {
+		if !f.IsTest {
 			out = append(out, f)
 		}
 	}
@@ -141,19 +139,19 @@ func (l *loader) loadModulePkg(path string) (*types.Package, error) {
 		if e.IsDir() || !strings.HasSuffix(name, ".go") {
 			continue
 		}
-		f, err := LoadFile(l.fset, filepath.Join(dir, name), pkg.Dir)
+		file := filepath.Join(dir, name)
+		src, err := parser.ParseFile(l.fset, file, nil, parser.ParseComments)
 		if err != nil {
 			return nil, fmt.Errorf("analysis: %w", err)
 		}
+		f := &File{Fset: l.fset, AST: src, Path: file, Pkg: pkg.Dir, IsTest: strings.HasSuffix(name, "_test.go")}
 		pkg.Files = append(pkg.Files, f)
-		if f.IsTest {
-			continue
-		}
 		// External test packages (package foo_test) cannot mix with the
 		// package proper; they only occur in _test.go files, which are
-		// already excluded.
-		f.Typed = true
-		typed = append(typed, f.AST)
+		// not type-checked.
+		if !f.IsTest {
+			typed = append(typed, src)
+		}
 	}
 	if len(typed) == 0 {
 		return nil, fmt.Errorf("analysis: package %s has no non-test Go files", path)

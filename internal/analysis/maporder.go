@@ -23,26 +23,24 @@ import (
 // The analyzer is type-aware: only ranges whose operand is map-typed
 // are considered, and the append/accumulate targets are resolved to
 // their declaring objects so shadowing cannot fool it.
-var MapOrder = &ProgramAnalyzer{
+var MapOrder = &Analyzer{
 	Name: "maporder",
 	Doc:  "flag order-sensitive work inside range-over-map loops",
 	Run:  runMapOrder,
 }
 
 func runMapOrder(p *Program) []Diagnostic {
-	var out []Diagnostic
-	for _, pkg := range p.Pkgs {
-		for _, f := range pkg.TypedFiles() {
-			for _, decl := range f.AST.Decls {
-				fd, ok := decl.(*ast.FuncDecl)
-				if !ok || fd.Body == nil {
-					continue
-				}
-				out = append(out, mapOrderInFunc(f, pkg.Info, fd)...)
+	return p.eachFile(func(pkg *Package, f *File) []Diagnostic {
+		var out []Diagnostic
+		for _, decl := range f.AST.Decls {
+			fd, ok := decl.(*ast.FuncDecl)
+			if !ok || fd.Body == nil {
+				continue
 			}
+			out = append(out, mapOrderInFunc(f, pkg.Info, fd)...)
 		}
-	}
-	return out
+		return out
+	})
 }
 
 func mapOrderInFunc(f *File, info *types.Info, fd *ast.FuncDecl) []Diagnostic {

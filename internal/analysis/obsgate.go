@@ -16,37 +16,29 @@ var ObsGate = &Analyzer{
 	Run:  runObsGate,
 }
 
-func runObsGate(f *File) []Diagnostic {
-	if f.IsTest || !isInternalPkg(f) || f.Pkg == "internal/obs" {
-		return nil
-	}
-	imports := importsOf(f)
-
-	gated := map[*ast.FuncDecl]bool{}
-	for _, decl := range f.AST.Decls {
-		if fd, ok := decl.(*ast.FuncDecl); ok && fd.Body != nil {
-			gated[fd] = containsPkgCall(f, imports, fd.Body, obsPkgPath, "Enabled")
+func runObsGate(p *Program) []Diagnostic {
+	obsPath := p.ModulePath + "/internal/obs"
+	return p.eachFile(func(pkg *Package, f *File) []Diagnostic {
+		if !isInternalPkg(f) || f.Pkg == "internal/obs" {
+			return nil
 		}
-	}
-
-	var out []Diagnostic
-	walkWithStack(f, func(n ast.Node, stack []ast.Node) {
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return
-		}
-		pkg, name, ok := pkgCall(f, imports, call)
-		if !ok || pkg != obsPkgPath || name == "Enabled" {
-			return
-		}
-		if !insideLoop(stack) {
-			return
-		}
-		if fd := enclosingFuncDecl(stack); fd != nil && gated[fd] {
-			return
-		}
-		out = append(out, f.Diag("obsgate", call,
-			"obs.%s publish inside a loop without any obs.Enabled() gate in the function; check Enabled() or publish once at a coarse boundary", name))
+		gated := obsGatedFuncs(pkg.Info, f, obsPath)
+		var out []Diagnostic
+		walkWithStack(f, func(n ast.Node, stack []ast.Node) {
+			call, ok := n.(*ast.CallExpr)
+			if !ok || !insideLoop(stack) {
+				return
+			}
+			fn := funcOf(pkg.Info, call.Fun)
+			if fn == nil || fn.Pkg().Path() != obsPath || fn.Name() == "Enabled" {
+				return
+			}
+			if fd := enclosingFuncDecl(stack); fd != nil && gated[fd] {
+				return
+			}
+			out = append(out, f.Diag("obsgate", call,
+				"obs.%s publish inside a loop without any obs.Enabled() gate in the function; check Enabled() or publish once at a coarse boundary", fn.Name()))
+		})
+		return out
 	})
-	return out
 }

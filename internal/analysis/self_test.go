@@ -1,83 +1,11 @@
 package analysis
 
 import (
-	"fmt"
-	"os"
-	"path/filepath"
 	"sort"
 	"strings"
 	"sync"
 	"testing"
 )
-
-// typedFixtureCases binds each program analyzer to its fixture module
-// under testdata/typed/<name>: a self-contained mini-module whose
-// bad.go must produce findings and good.go must produce none.
-var typedFixtureCases = []struct {
-	name     string
-	analyzer *ProgramAnalyzer
-}{
-	{"hotalloc", HotAlloc},
-	{"maporder", MapOrder},
-	{"goleak", GoLeak},
-	{"exhaustive", Exhaustive},
-}
-
-// TestTypedFixtures is the golden-file harness for the type-aware
-// analyzers, mirroring TestAnalyzerFixtures: findings over the fixture
-// module must match testdata/typed/<name>/expect.txt exactly.
-// Regenerate with go test ./internal/analysis -run TypedFixtures -update.
-func TestTypedFixtures(t *testing.T) {
-	for _, tc := range typedFixtureCases {
-		t.Run(tc.name, func(t *testing.T) {
-			dir := filepath.Join("testdata", "typed", tc.name)
-			prog, err := LoadProgram(dir)
-			if err != nil {
-				t.Fatalf("loading fixture module: %v", err)
-			}
-			diags := LintProgram(prog, nil, []*ProgramAnalyzer{tc.analyzer})
-
-			var got []string
-			badFindings, goodFindings := 0, 0
-			for _, d := range diags {
-				base := filepath.Base(d.Pos.Filename)
-				got = append(got, fmt.Sprintf("%s:%d: %s: %s", base, d.Pos.Line, d.Analyzer, d.Message))
-				switch {
-				case strings.Contains(base, "bad"):
-					badFindings++
-				case strings.Contains(base, "good"):
-					goodFindings++
-				}
-			}
-			if badFindings == 0 {
-				t.Error("positive fixture produced no findings; the analyzer would not fail without its check")
-			}
-			if goodFindings != 0 {
-				t.Errorf("negative fixture produced %d findings; analyzer over-triggers", goodFindings)
-			}
-			sort.Strings(got)
-			text := strings.Join(got, "\n")
-			if len(got) > 0 {
-				text += "\n"
-			}
-
-			golden := filepath.Join(dir, "expect.txt")
-			if *update {
-				if err := os.WriteFile(golden, []byte(text), 0o644); err != nil {
-					t.Fatal(err)
-				}
-				return
-			}
-			want, err := os.ReadFile(golden)
-			if err != nil {
-				t.Fatalf("missing golden file (run with -update to create): %v", err)
-			}
-			if string(want) != text {
-				t.Errorf("findings mismatch\n--- got ---\n%s--- want ---\n%s", text, want)
-			}
-		})
-	}
-}
 
 // The module's own program is loaded once and shared: type-checking
 // the repo plus its stdlib imports is the expensive step.
@@ -125,20 +53,16 @@ func TestLoadProgramSelf(t *testing.T) {
 	if pkg.Types == nil || pkg.Info == nil {
 		t.Fatal("detect package missing type info")
 	}
-	sawTest, sawTyped := false, false
+	sawTest := false
 	for _, f := range pkg.Files {
-		if f.IsTest {
-			sawTest = true
-			if f.Typed {
-				t.Errorf("%s: test file marked typed", f.Path)
-			}
+		// Info records a file scope for exactly the type-checked files.
+		if _, typed := pkg.Info.Scopes[f.AST]; typed == f.IsTest {
+			t.Errorf("%s: test file = %v but type-checked = %v", f.Path, f.IsTest, typed)
 		}
-		if f.Typed {
-			sawTyped = true
-		}
+		sawTest = sawTest || f.IsTest
 	}
-	if !sawTest || !sawTyped {
-		t.Errorf("detect package: sawTest=%v sawTyped=%v, want both", sawTest, sawTyped)
+	if !sawTest || len(pkg.TypedFiles()) == 0 {
+		t.Errorf("detect package: sawTest=%v typed files=%d, want both", sawTest, len(pkg.TypedFiles()))
 	}
 }
 
@@ -210,7 +134,7 @@ func TestCallGraphSelf(t *testing.T) {
 // unexplained suppressions.
 func TestLintProgramSelf(t *testing.T) {
 	prog := selfProgram(t)
-	diags := LintProgram(prog, DefaultAnalyzers(), DefaultProgramAnalyzers())
+	diags := LintProgram(prog, DefaultAnalyzers())
 	for _, d := range diags {
 		t.Errorf("unexpected finding: %s", d)
 	}

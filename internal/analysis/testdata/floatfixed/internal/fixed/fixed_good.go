@@ -27,3 +27,11 @@ func (q Q) FromFloat(f float64) int64 {
 func (q Q) ToFloat(raw int64) float64 {
 	return float64(raw) / float64(int64(1)<<q.Frac)
 }
+
+// The integer-register methods the consumer fixtures call.
+func (q Q) Add(a, b int64) int64 { return a + b }
+
+func (q Q) Sub(a, b int64) int64 { return a - b }
+
+// MulFloat quantizes its coefficient on entry, like the real one.
+func (q Q) MulFloat(raw int64, c float64) int64 { return raw * q.FromFloat(c) >> q.Frac }

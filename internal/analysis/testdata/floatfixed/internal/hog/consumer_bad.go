@@ -2,7 +2,7 @@
 // arithmetic inside its fixed-point datapath file.
 package hog
 
-import "repro/internal/fixed"
+import "fixture/internal/fixed"
 
 var q = fixed.Q{Total: 16, Frac: 8}
 

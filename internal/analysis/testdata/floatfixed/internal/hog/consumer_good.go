@@ -1,7 +1,7 @@
 // Negative fixture: consumers crossing into Q via the boundary calls.
 package hog
 
-import "repro/internal/fixed"
+import "fixture/internal/fixed"
 
 // Float expressions quantized on entry through FromFloat/MulFloat are
 // the sanctioned pattern.

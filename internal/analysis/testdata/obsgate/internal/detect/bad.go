@@ -2,7 +2,7 @@
 // obs.Enabled() gate anywhere in the function.
 package detect
 
-import "repro/internal/obs"
+import "fixture/internal/obs"
 
 func scanAll(windows []int) int {
 	hits := 0

@@ -1,7 +1,7 @@
 // Negative fixture: gated publishes and coarse-boundary publishing.
 package detect
 
-import "repro/internal/obs"
+import "fixture/internal/obs"
 
 // Early-return guard: the whole function is a telemetry boundary.
 func publishSummary(counts []int) {

@@ -4,7 +4,7 @@ package eedn
 import (
 	"time"
 
-	"repro/internal/obs"
+	"fixture/internal/obs"
 )
 
 // The obs.Enabled() check marks the function as a telemetry boundary:

@@ -8,46 +8,33 @@ import "go/ast"
 // (internal/obs) or at call sites that exist purely to feed it — the
 // convention in this repo being a function that checks obs.Enabled()
 // before measuring. Everything else in internal/ must be a pure
-// function of its inputs and seeds.
+// function of its inputs and seeds. Taking time.Now as a function
+// value counts as a read.
 var Walltime = &Analyzer{
 	Name: "walltime",
 	Doc:  "forbid wall-clock reads outside internal/obs and obs.Enabled()-gated telemetry",
 	Run:  runWalltime,
 }
 
-const obsPkgPath = "repro/internal/obs"
-
-func runWalltime(f *File) []Diagnostic {
-	if f.IsTest || !isInternalPkg(f) || f.Pkg == "internal/obs" {
-		return nil
-	}
-	imports := importsOf(f)
-
-	// A top-level function that consults obs.Enabled() anywhere is a
-	// telemetry boundary: its clock reads exist to be published, and
-	// the Enabled() check is what keeps them off the replayed path.
-	gated := map[*ast.FuncDecl]bool{}
-	for _, decl := range f.AST.Decls {
-		if fd, ok := decl.(*ast.FuncDecl); ok && fd.Body != nil {
-			gated[fd] = containsPkgCall(f, imports, fd.Body, obsPkgPath, "Enabled")
+func runWalltime(p *Program) []Diagnostic {
+	obsPath := p.ModulePath + "/internal/obs"
+	return p.eachFile(func(pkg *Package, f *File) []Diagnostic {
+		if !isInternalPkg(f) || f.Pkg == "internal/obs" {
+			return nil
 		}
-	}
-
-	var out []Diagnostic
-	walkWithStack(f, func(n ast.Node, stack []ast.Node) {
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return
-		}
-		pkg, name, ok := pkgCall(f, imports, call)
-		if !ok || pkg != "time" || (name != "Now" && name != "Since") {
-			return
-		}
-		if fd := enclosingFuncDecl(stack); fd != nil && gated[fd] {
-			return
-		}
-		out = append(out, f.Diag("walltime", call,
-			"wall-clock time.%s outside internal/obs makes the run unreplayable; gate it behind obs.Enabled() or move it into the telemetry layer", name))
+		gated := obsGatedFuncs(pkg.Info, f, obsPath)
+		var out []Diagnostic
+		walkWithStack(f, func(n ast.Node, stack []ast.Node) {
+			fn := funcRef(pkg.Info, n, stack)
+			if fn == nil || fn.Pkg().Path() != "time" || (fn.Name() != "Now" && fn.Name() != "Since") {
+				return
+			}
+			if fd := enclosingFuncDecl(stack); fd != nil && gated[fd] {
+				return
+			}
+			out = append(out, f.Diag("walltime", n,
+				"wall-clock time.%s outside internal/obs makes the run unreplayable; gate it behind obs.Enabled() or move it into the telemetry layer", fn.Name()))
+		})
+		return out
 	})
-	return out
 }
