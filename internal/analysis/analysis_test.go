@@ -12,34 +12,51 @@ import (
 
 var update = flag.Bool("update", false, "rewrite golden expectation files")
 
-// fixtureCases binds each analyzer to its fixture module under
+// fixtureCase binds an analyzer to its fixture module under
 // testdata/<name>: a self-contained mini-module (module fixture) whose
 // packages sit at the module-relative paths the analyzer scopes on,
 // with small stubs of internal/obs and internal/fixed where the
 // analyzer resolves calls into them. Every bad*.go file must produce
 // findings and every good*.go file none.
-var fixtureCases = []struct {
+type fixtureCase struct {
 	name     string
 	analyzer *Analyzer
-}{
-	{"detrand", Detrand},
-	{"walltime", Walltime},
-	{"floatfixed", FloatFixed},
-	{"obsgate", ObsGate},
-	{"errpanic", ErrPanic},
-	{"directives", ErrPanic},
-	{"hotalloc", HotAlloc},
-	{"maporder", MapOrder},
-	{"goleak", GoLeak},
-	{"exhaustive", Exhaustive},
 }
 
-// TestAnalyzerFixtures is the golden-file harness: every analyzer runs
-// over its fixture module and the formatted findings must match
-// testdata/<name>/expect.txt exactly.
+// TestAnalyzerFixtures runs the fixture modules of the five analyzers
+// that check calls by what they resolve to (math/rand, time, obs,
+// fixed, the builtin panic), plus the directive fixture, through the
+// golden-file harness.
 // Regenerate with go test ./internal/analysis -run Fixtures -update.
 func TestAnalyzerFixtures(t *testing.T) {
-	for _, tc := range fixtureCases {
+	runFixtures(t, []fixtureCase{
+		{"detrand", Detrand},
+		{"walltime", Walltime},
+		{"floatfixed", FloatFixed},
+		{"obsgate", ObsGate},
+		{"errpanic", ErrPanic},
+		{"directives", ErrPanic},
+	})
+}
+
+// TestTypedFixtures runs the fixture modules of the four analyzers
+// that work on the program's call graph and types through the same
+// golden-file harness.
+func TestTypedFixtures(t *testing.T) {
+	runFixtures(t, []fixtureCase{
+		{"hotalloc", HotAlloc},
+		{"maporder", MapOrder},
+		{"goleak", GoLeak},
+		{"exhaustive", Exhaustive},
+	})
+}
+
+// runFixtures is the golden-file harness: each analyzer runs over its
+// fixture module and the formatted findings must match
+// testdata/<name>/expect.txt exactly.
+func runFixtures(t *testing.T, cases []fixtureCase) {
+	t.Helper()
+	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := filepath.Join("testdata", tc.name)
 			prog, err := LoadProgram(dir)
