@@ -7,8 +7,8 @@ GO ?= go
 .PHONY: build test check vet race lint perfbench-check perfbench-layout bench bench-obs bench-sim bench-detect bench-gate fuzz clean
 
 # FUZZTIME bounds each fuzz target's smoke run (the committed seed
-# corpora under internal/truenorth/testdata/fuzz always run as plain
-# tests; this is extra mutation time).
+# corpora under internal/{truenorth,eedn}/testdata/fuzz always run as
+# plain tests; this is extra mutation time).
 FUZZTIME ?= 15s
 
 build:
@@ -119,6 +119,8 @@ fuzz:
 	$(GO) test ./internal/truenorth -run '^$$' -fuzz '^FuzzModelRoundTrip$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/truenorth -run '^$$' -fuzz '^FuzzDenseSparseEquivalence$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/truenorth -run '^$$' -fuzz '^FuzzShardEquivalence$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/eedn -run '^$$' -fuzz '^FuzzDenseTrinary$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/eedn -run '^$$' -fuzz '^FuzzLoad$$' -fuzztime $(FUZZTIME)
 
 clean:
 	rm -f BENCH_obs.json BENCH_sim.json BENCH_detect.json

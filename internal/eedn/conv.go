@@ -32,15 +32,10 @@ type Conv2D struct {
 // NewConv2D returns a grouped convolution layer. InC and OutC must be
 // divisible by groups.
 func NewConv2D(inC, inH, inW, outC, k, stride, groups int, rng *rand.Rand) (*Conv2D, error) {
-	switch {
-	case inC <= 0 || inH <= 0 || inW <= 0 || outC <= 0 || k <= 0 || stride <= 0 || groups <= 0:
-		return nil, fmt.Errorf("eedn: conv dims must be positive")
-	case inC%groups != 0 || outC%groups != 0:
-		return nil, fmt.Errorf("eedn: channels %d/%d not divisible by groups %d", inC, outC, groups)
-	case inH < k || inW < k:
-		return nil, fmt.Errorf("eedn: kernel %d exceeds input %dx%d", k, inH, inW)
+	nw, err := convGeometry(inC, inH, inW, outC, k, stride, groups)
+	if err != nil {
+		return nil, fmt.Errorf("eedn: %w", err)
 	}
-	nw := outC * (inC / groups) * k * k
 	c := &Conv2D{
 		InC: inC, InH: inH, InW: inW, OutC: outC, K: k, Stride: stride, Groups: groups,
 		Hidden: make([]float64, nw),
@@ -54,6 +49,40 @@ func NewConv2D(inC, inH, inW, outC, k, stride, groups int, rng *rand.Rand) (*Con
 		c.Hidden[i] = (rng.Float64()*2 - 1) * 0.8
 	}
 	return c, nil
+}
+
+// convGeometry validates a convolution's shape and returns its weight
+// count. The input, weight and output sizes must all be positive and
+// fit in an int, so a layer that passes can run Forward.
+func convGeometry(inC, inH, inW, outC, k, stride, groups int) (int, error) {
+	switch {
+	case inC <= 0 || inH <= 0 || inW <= 0 || outC <= 0 || k <= 0 || stride <= 0 || groups <= 0:
+		return 0, fmt.Errorf("conv dims must be positive")
+	case inC%groups != 0 || outC%groups != 0:
+		return 0, fmt.Errorf("channels %d/%d not divisible by groups %d", inC, outC, groups)
+	case inH < k || inW < k:
+		return 0, fmt.Errorf("kernel %d exceeds input %dx%d", k, inH, inW)
+	}
+	nw, okW := mulSizes(outC, inC/groups, k, k)
+	_, okIn := mulSizes(inC, inH, inW)
+	_, okOut := mulSizes(outC, (inH-k)/stride+1, (inW-k)/stride+1)
+	if !okW || !okIn || !okOut {
+		return 0, fmt.Errorf("conv %dx%dx%d to %d channels, kernel %d: size overflows int", inC, inH, inW, outC, k)
+	}
+	return nw, nil
+}
+
+// mulSizes returns the product of positive sizes, or false when a size
+// is not positive or the product overflows an int.
+func mulSizes(sizes ...int) (int, bool) {
+	p := 1
+	for _, n := range sizes {
+		if n <= 0 || p > math.MaxInt/n {
+			return 0, false
+		}
+		p *= n
+	}
+	return p, true
 }
 
 // OutH returns the output height.

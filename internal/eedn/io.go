@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"sync/atomic"
 )
 
 // Serialization: networks are saved as JSON holding each layer's kind,
@@ -73,19 +74,22 @@ func Load(r io.Reader) (*Network, error) {
 	for i, lj := range in.Layers {
 		switch lj.Kind {
 		case "dense":
-			if lj.In <= 0 || lj.Out <= 0 {
+			nw, ok := mulSizes(lj.In, lj.Out)
+			if !ok {
 				return nil, fmt.Errorf("eedn: layer %d bad dims %dx%d", i, lj.In, lj.Out)
 			}
-			if len(lj.Hidden) != lj.In*lj.Out || len(lj.Bias) != lj.Out {
+			if len(lj.Hidden) != nw || len(lj.Bias) != lj.Out {
 				return nil, fmt.Errorf("eedn: layer %d weight sizes %d/%d", i, len(lj.Hidden), len(lj.Bias))
 			}
 			d := &Dense{
 				In: lj.In, Out: lj.Out, Linear: lj.Linear,
 				Hidden: lj.Hidden, Bias: lj.Bias,
-				vel:   make([]float64, lj.In*lj.Out),
+				vel:   make([]float64, nw),
 				velB:  make([]float64, lj.Out),
-				gradW: make([]float64, lj.In*lj.Out),
+				gradW: make([]float64, nw),
 				gradB: make([]float64, lj.Out),
+
+				deployed: new(atomic.Pointer[synapseRows]),
 			}
 			layers = append(layers, d)
 		case "conv":
@@ -94,11 +98,10 @@ func Load(r io.Reader) (*Network, error) {
 				OutC: lj.OutC, K: lj.K, Stride: lj.Stride, Groups: lj.Groups,
 				Hidden: lj.Hidden, Bias: lj.Bias,
 			}
-			if c.InC <= 0 || c.OutC <= 0 || c.K <= 0 || c.Stride <= 0 || c.Groups <= 0 ||
-				c.InC%c.Groups != 0 || c.OutC%c.Groups != 0 {
-				return nil, fmt.Errorf("eedn: layer %d bad conv geometry", i)
+			want, err := convGeometry(c.InC, c.InH, c.InW, c.OutC, c.K, c.Stride, c.Groups)
+			if err != nil {
+				return nil, fmt.Errorf("eedn: layer %d: %w", i, err)
 			}
-			want := c.OutC * (c.InC / c.Groups) * c.K * c.K
 			if len(c.Hidden) != want || len(c.Bias) != c.OutC {
 				return nil, fmt.Errorf("eedn: layer %d conv weight sizes", i)
 			}

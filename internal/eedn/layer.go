@@ -22,6 +22,8 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
+	"sync/atomic"
 )
 
 // TrinaryDeadZone is the hidden-weight magnitude below which the
@@ -29,15 +31,22 @@ import (
 const TrinaryDeadZone = 0.5
 
 // Trinarize maps a hidden weight to its deployed trinary value.
-func Trinarize(w float64) float64 {
-	switch {
-	case w >= TrinaryDeadZone:
+func Trinarize(w float64) float64 { return float64(trinary(w)) }
+
+// trinary is Trinarize as an int, computed without branches: trained
+// hidden weights fall on either side of the dead zone at random, so a
+// branch on them would mispredict often.
+func trinary(w float64) int {
+	return b2i(w >= TrinaryDeadZone) - b2i(w <= -TrinaryDeadZone)
+}
+
+// b2i is 1 for true and 0 for false; the compiler emits a SETcc for
+// it, not a branch.
+func b2i(b bool) int {
+	if b {
 		return 1
-	case w <= -TrinaryDeadZone:
-		return -1
-	default:
-		return 0
 	}
+	return 0
 }
 
 // steWindow is the triangular straight-through derivative window: the
@@ -58,7 +67,13 @@ func steWindow(v float64) float64 {
 type Dense struct {
 	In, Out int
 	// Hidden holds the high-precision training weights, Out x In
-	// row-major.
+	// row-major. Inference does not read Hidden: it reads the deployed
+	// synapse rows derived from it on the layer's first pass, which
+	// Update refreshes wherever it moves a weight across the dead-zone
+	// edge. Write Hidden only before the first pass, or the rows go
+	// stale; in this package only NewDense, Load and Update write it.
+	// TrainParallel replicas share both Hidden and the rows with their
+	// master.
 	Hidden []float64
 	// Bias holds per-neuron biases (negated firing thresholds).
 	Bias []float64
@@ -67,6 +82,11 @@ type Dense struct {
 	// threshold; when true it is a linear readout (used only as the
 	// last layer of regression heads).
 	Linear bool
+
+	// deployed publishes the synapse rows derived from Hidden. It is
+	// atomic because DetectStream runs parrot inference on several
+	// goroutines, and a pointer so TrainParallel replicas share it.
+	deployed *atomic.Pointer[synapseRows]
 
 	// training state
 	vel     []float64 // momentum for weights
@@ -93,11 +113,67 @@ func NewDense(in, out int, rng *rand.Rand) *Dense {
 		velB:   make([]float64, out),
 		gradW:  make([]float64, in*out),
 		gradB:  make([]float64, out),
+
+		deployed: new(atomic.Pointer[synapseRows]),
 	}
 	for i := range d.Hidden {
 		d.Hidden[i] = (rng.Float64()*2 - 1) * 0.8
 	}
 	return d
+}
+
+// synapse is one connected input of a deployed neuron: the input index
+// and the trinary weight, +1 or -1, as a float64.
+type synapse struct {
+	in  int
+	sgn float64
+}
+
+// synapseRows holds a dense layer's deployed weights as per-neuron
+// sparse rows: row j lists, in ascending input order, the inputs whose
+// hidden weight trinarizes to ±1. A TrueNorth neuron integrates only
+// its connected synapses, and preact does the same, so its work scales
+// with the nonzero weights rather than with In x Out.
+type synapseRows [][]synapse
+
+// deriveSynapses builds the deployed rows of an out x in hidden matrix.
+func deriveSynapses(hidden []float64, in, out int) *synapseRows {
+	rows := make(synapseRows, out)
+	for j := range rows {
+		rows[j] = rowSynapses(hidden[j*in : (j+1)*in])
+	}
+	return &rows
+}
+
+// rowSynapses returns the connected synapses of one neuron's hidden
+// weights. It does not branch on a weight: every weight writes its
+// synapse into the next free slot, and only a nonzero one advances
+// past it.
+func rowSynapses(hidden []float64) []synapse {
+	n := 0
+	for _, w := range hidden {
+		t := trinary(w)
+		n += t * t
+	}
+	row := make([]synapse, n+1) // one spare slot for trailing zeros
+	n = 0
+	for i, w := range hidden {
+		t := trinary(w)
+		row[n] = synapse{in: i, sgn: float64(t)}
+		n += t * t
+	}
+	return row[:n:n]
+}
+
+// synapses returns the published deployed rows, deriving them on first
+// use. Concurrent first passes may each derive them; they read the same
+// Hidden, so the rows are equal, and the first to publish wins.
+func (d *Dense) synapses() synapseRows {
+	if r := d.deployed.Load(); r != nil {
+		return *r
+	}
+	d.deployed.CompareAndSwap(nil, deriveSynapses(d.Hidden, d.In, d.Out))
+	return *d.deployed.Load()
 }
 
 // InDim returns the input dimension.
@@ -106,19 +182,16 @@ func (d *Dense) InDim() int { return d.In }
 // OutDim returns the output dimension.
 func (d *Dense) OutDim() int { return d.Out }
 
-// preact computes the normalized pre-activation with trinary weights.
+// preact computes the normalized pre-activation with trinary weights,
+// summing sgn*x over each neuron's connected synapses in ascending
+// input order. In IEEE-754, 1*x == x and s + (-1*x) == s - x, so this
+// is bit-identical to adding or subtracting x per nonzero weight.
 func (d *Dense) preact(x []float64, out []float64) {
 	norm := 1 / math.Sqrt(float64(d.In))
-	for j := 0; j < d.Out; j++ {
-		row := d.Hidden[j*d.In : (j+1)*d.In]
+	for j, row := range d.synapses() {
 		var s float64
-		for i, w := range row {
-			switch {
-			case w >= TrinaryDeadZone:
-				s += x[i]
-			case w <= -TrinaryDeadZone:
-				s -= x[i]
-			}
+		for _, e := range row {
+			s += e.sgn * x[e.in]
 		}
 		out[j] = s*norm + d.Bias[j]
 	}
@@ -227,27 +300,47 @@ func (d *Dense) BackwardParamsOnly(gradOut []float64) {
 }
 
 // Update applies one SGD-with-momentum step from the accumulated
-// gradients (scaled by 1/batch), clips hidden weights to [-1, 1], and
-// clears the gradient accumulators.
+// gradients (scaled by 1/batch), clips hidden weights to [-1, 1],
+// clears the gradient accumulators and, if any trinary weight changed,
+// publishes new deployed synapse rows.
 func (d *Dense) Update(lr, momentum float64, batch int) {
 	if batch <= 0 {
 		batch = 1
 	}
 	inv := 1 / float64(batch)
-	for i := range d.Hidden {
-		d.vel[i] = momentum*d.vel[i] - lr*d.gradW[i]*inv
-		d.Hidden[i] += d.vel[i]
-		if d.Hidden[i] > 1 {
-			d.Hidden[i] = 1
-		} else if d.Hidden[i] < -1 {
-			d.Hidden[i] = -1
+	prev := d.deployed.Load()
+	var next synapseRows
+	for j := 0; j < d.Out; j++ {
+		flips := 0
+		for i := j * d.In; i < (j+1)*d.In; i++ {
+			was := trinary(d.Hidden[i])
+			d.vel[i] = momentum*d.vel[i] - lr*d.gradW[i]*inv
+			d.Hidden[i] += d.vel[i]
+			if d.Hidden[i] > 1 {
+				d.Hidden[i] = 1
+			} else if d.Hidden[i] < -1 {
+				d.Hidden[i] = -1
+			}
+			d.gradW[i] = 0
+			flips |= was ^ trinary(d.Hidden[i])
 		}
-		d.gradW[i] = 0
+		// Few weights cross the dead-zone edge in one step, so only
+		// the rows they are in are derived again; published rows are
+		// never written, so the new rows share the others.
+		if flips != 0 && prev != nil {
+			if next == nil {
+				next = slices.Clone(*prev)
+			}
+			next[j] = rowSynapses(d.Hidden[j*d.In : (j+1)*d.In])
+		}
 	}
 	for j := range d.Bias {
 		d.velB[j] = momentum*d.velB[j] - lr*d.gradB[j]*inv
 		d.Bias[j] += d.velB[j]
 		d.gradB[j] = 0
+	}
+	if next != nil {
+		d.deployed.Store(&next)
 	}
 }
 

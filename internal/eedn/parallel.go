@@ -27,11 +27,12 @@ type workerLayer interface {
 	mergeGradsFrom(replica workerLayer) error
 }
 
-// replicate for Dense: share Hidden/Bias, fresh caches and grads.
+// replicate for Dense: share Hidden/Bias and the deployed rows, fresh
+// caches and grads.
 func (d *Dense) replicate() workerLayer {
 	return &Dense{
 		In: d.In, Out: d.Out, Linear: d.Linear,
-		Hidden: d.Hidden, Bias: d.Bias,
+		Hidden: d.Hidden, Bias: d.Bias, deployed: d.deployed,
 		gradW: make([]float64, len(d.Hidden)),
 		gradB: make([]float64, len(d.Bias)),
 	}

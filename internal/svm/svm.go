@@ -25,15 +25,27 @@ type Model struct {
 	B float64   `json:"b"`
 }
 
-// Score returns the decision value for x.
+// Score returns the decision value for x. The loop computes four
+// products per iteration but adds them in index order, so the sum is
+// the one-product loop's bit for bit. Its speed does not depend on
+// where the linker places it, which the one-product loop's did
+// (DESIGN §7).
 func (m *Model) Score(x []float64) float64 {
 	if len(x) != len(m.W) {
 		//lint:allow errpanic feature-dimension mismatch is a pipeline-wiring bug; Score sits in the per-window hot path
 		panic(fmt.Sprintf("svm: score input %d, want %d", len(x), len(m.W)))
 	}
+	w := m.W
 	s := m.B
-	for i, w := range m.W {
-		s += w * x[i]
+	i := 0
+	for ; i+4 <= len(w); i += 4 {
+		s += w[i] * x[i]
+		s += w[i+1] * x[i+1]
+		s += w[i+2] * x[i+2]
+		s += w[i+3] * x[i+3]
+	}
+	for ; i < len(w); i++ {
+		s += w[i] * x[i]
 	}
 	return s
 }

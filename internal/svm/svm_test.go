@@ -105,6 +105,36 @@ func TestScorePanicsOnBadDim(t *testing.T) {
 	m.Score([]float64{1})
 }
 
+// scoreOneProduct is the frozen one-product Score loop that the
+// four-product loop replaced.
+func scoreOneProduct(m *Model, x []float64) float64 {
+	s := m.B
+	for i, w := range m.W {
+		s += w * x[i]
+	}
+	return s
+}
+
+func TestScoreMatchesOneProductLoop(t *testing.T) {
+	rng := rand.New(rand.NewSource(4))
+	for _, n := range []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 7560} {
+		for trial := 0; trial < 20; trial++ {
+			m := &Model{W: make([]float64, n), B: rng.NormFloat64()}
+			x := make([]float64, n)
+			for i := range x {
+				// Wide magnitudes make the sum sensitive to the order
+				// of additions.
+				m.W[i] = rng.NormFloat64() * math.Pow(10, float64(rng.Intn(17)-8))
+				x[i] = rng.NormFloat64() * math.Pow(10, float64(rng.Intn(17)-8))
+			}
+			got, want := m.Score(x), scoreOneProduct(m, x)
+			if math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("len %d trial %d: Score %v, one-product loop %v", n, trial, got, want)
+			}
+		}
+	}
+}
+
 func TestDeterministicTraining(t *testing.T) {
 	pos, neg := gauss2(50, 6, 1, 7)
 	m1, _ := Train(pos, neg, DefaultTrainOptions())
