@@ -7,7 +7,7 @@ GO ?= go
 .PHONY: build test check vet race lint perfbench-check perfbench-layout bench bench-obs bench-sim bench-detect bench-gate fuzz clean
 
 # FUZZTIME bounds each fuzz target's smoke run (the committed seed
-# corpora under internal/{truenorth,eedn}/testdata/fuzz always run as
+# corpora under internal/{truenorth,eedn,imgproc}/testdata/fuzz always run as
 # plain tests; this is extra mutation time).
 FUZZTIME ?= 15s
 
@@ -90,7 +90,7 @@ bench-sim:
 # batch at workers 1/4/NumCPU, the 0-alloc inner scan loop, the
 # temporal sequence engine on static/5%-motion/full-motion mixes, and
 # the per-paradigm GridInto/DescriptorInto kernel microbenchmarks) and
-# writes the telemetry snapshot — detect.workers, detect.band_ms,
+# writes the telemetry snapshot — detect.workers, detect.level_ms,
 # detect.worker_utilization, windows/s, detect.seq.*.frames_per_sec,
 # detect.reuse_ratio — to BENCH_detect.json.
 # $(CURDIR) pins the path because go test runs in the package dir.
@@ -121,6 +121,7 @@ fuzz:
 	$(GO) test ./internal/truenorth -run '^$$' -fuzz '^FuzzShardEquivalence$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/eedn -run '^$$' -fuzz '^FuzzDenseTrinary$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/eedn -run '^$$' -fuzz '^FuzzLoad$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/imgproc -run '^$$' -fuzz '^FuzzReadPGM$$' -fuzztime $(FUZZTIME)
 
 clean:
 	rm -f BENCH_obs.json BENCH_sim.json BENCH_detect.json

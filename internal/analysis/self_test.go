@@ -67,7 +67,7 @@ func TestLoadProgramSelf(t *testing.T) {
 }
 
 // TestCallGraphSelf checks the resolved edges the hotalloc proof rests
-// on: the interface call in scanBand fans out to every DescriptorInto
+// on: the interface call in scanGrid fans out to every DescriptorInto
 // implementation (CHA), and Step's call to the unexported fire method
 // resolves statically.
 func TestCallGraphSelf(t *testing.T) {
@@ -84,7 +84,7 @@ func TestCallGraphSelf(t *testing.T) {
 		return nil
 	}
 
-	scan := findNode("(*detect.Detector).scanBand")
+	scan := findNode("(*detect.Detector).scanGrid")
 	var descCallees []string
 	for _, site := range scan.Calls {
 		if !site.Dynamic {
@@ -104,7 +104,7 @@ func TestCallGraphSelf(t *testing.T) {
 		"(*parrot.Extractor).DescriptorInto",
 	}
 	if strings.Join(descCallees, ",") != strings.Join(want, ",") {
-		t.Errorf("scanBand DescriptorInto fan-out = %v, want %v", descCallees, want)
+		t.Errorf("scanGrid DescriptorInto fan-out = %v, want %v", descCallees, want)
 	}
 
 	step := findNode("(*truenorth.Simulator).Step")

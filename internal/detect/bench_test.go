@@ -13,7 +13,7 @@ import (
 
 // TestMain wires the detect benchmarks to the telemetry exporter: when
 // BENCH_DETECT_OUT names a file, telemetry is enabled for the run and
-// the final registry snapshot — detect.workers, detect.band_ms,
+// the final registry snapshot — detect.workers, detect.level_ms,
 // detect.worker_utilization, windows/s, NMS counters — is written
 // there. `make bench-detect` sets it to BENCH_detect.json.
 func TestMain(m *testing.M) {
@@ -73,7 +73,7 @@ func raiseProcs(n int) func() {
 }
 
 // BenchmarkDetectImage measures the full single-image pipeline (scan +
-// NMS) at several intra-image band worker counts.
+// NMS) at several level worker counts.
 func BenchmarkDetectImage(b *testing.B) {
 	det := trainedPipeline(b)
 	scene := dataset.NewGenerator(10).Scene(320, 240, 2, 130, 200)
@@ -200,24 +200,20 @@ func BenchmarkDetectSequence(b *testing.B) {
 }
 
 // BenchmarkDetectScanInner isolates the steady-state inner window
-// loop: one full level band scan over a warm grid and scratch. This is
-// the loop the 0 allocs/op acceptance criterion pins (see also
+// loop: one full level scan over a warm grid and scratch. This is the
+// loop the 0 allocs/op acceptance criterion pins (see also
 // TestDetectSteadyStateAllocs).
 func BenchmarkDetectScanInner(b *testing.B) {
 	cfg := DefaultConfig()
 	cfg.Threshold = -1e18
 	det := testDetector(b, cfg)
 	img := dataset.NewGenerator(9).NegativeImage(160, 160)
-	st := det.getState(1)
-	det.Extractor.GridInto(&st.grid, img)
-	nRows := (st.grid.CellsY-cfg.WindowCellsY)/cfg.StrideCells + 1
-	sc := &st.ws[0]
-	winW := cfg.WindowCellsX * cfg.CellSize
-	winH := cfg.WindowCellsY * cfg.CellSize
-	det.scanBand(sc, &st.grid, 0, nRows, 1, winW, winH) // warm
+	sc := &workerScratch{}
+	det.Extractor.GridInto(&sc.grid, img)
+	dets := det.scanGrid(sc, &sc.grid, 1, nil) // warm
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		det.scanBand(sc, &st.grid, 0, nRows, 1, winW, winH)
+		dets = det.scanGrid(sc, &sc.grid, 1, dets[:0])
 	}
 }

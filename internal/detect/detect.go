@@ -26,8 +26,13 @@ import (
 // DescriptorInto appends the descriptor of the window whose top-left
 // cell is (cellX, cellY) to a caller-owned scratch buffer. hog.Extractor,
 // hog.FPGAExtractor, napprox.Extractor and parrot.Extractor satisfy it.
+// GridInto is called concurrently on distinct grids (level workers in
+// Detect and Sequence, image workers in DetectStream), and
 // DescriptorInto must be safe for concurrent callers holding distinct
-// dst buffers over one shared read-only grid.
+// dst buffers over one shared read-only grid. parrot.Extractor with
+// Stochastic coding draws from one shared Rng, so it is the exception:
+// drive it with Workers <= 1 (only experiments.Fig6 builds one, and
+// only for parrot.ClassAccuracy).
 type Extractor interface {
 	GridInto(g *hog.Grid, img *imgproc.Image)
 	DescriptorInto(dst []float64, g *hog.Grid, cellX, cellY int) ([]float64, error)
@@ -63,12 +68,14 @@ type Config struct {
 	Threshold float64
 	// NMSEpsilon is the overlap at which a weaker box is suppressed.
 	NMSEpsilon float64
-	// Workers bounds the scan parallelism: pyramid-level window rows
-	// are split into bands dispatched to this many goroutines, and
-	// DetectAll pipelines whole images across them. 0 or 1 selects the
-	// sequential path; values above GOMAXPROCS are clamped to it.
-	// Detect output is invariant to Workers — bands merge in (level,
-	// row, col) order, bit-identical to the sequential scan.
+	// Workers bounds the scan parallelism: within one image (Detect)
+	// or frame (Sequence) up to this many goroutines, the caller
+	// included, claim whole pyramid levels, and DetectAll/DetectStream
+	// pipeline whole images across them. 0 or 1 selects the sequential
+	// path; values above GOMAXPROCS are clamped to it, and a scan never
+	// uses more workers than it has levels. Output is invariant to
+	// Workers — levels merge in (level, row, col) order, bit-identical
+	// to the sequential scan.
 	Workers int
 }
 
@@ -100,20 +107,22 @@ func (c Config) Validate() error {
 
 // Detector combines an extractor and a scorer under a Config. Use
 // NewDetector; a Detector must not be copied after first use (it owns
-// a scratch pool and error counter shared across scans).
+// an error counter shared across scans). Detect, DetectRaw and
+// DetectStream may be called concurrently.
 type Detector struct {
 	Extractor Extractor
 	Scorer    Scorer
 	Config    Config
 
-	// Trace, when set, anchors the scan's span tree (image -> pyramid
-	// level -> band) under an existing span, so a CLI's -trace-out
-	// shows detection nested in its run. Nil starts root spans
-	// instead; spans are only created while telemetry is enabled.
+	// Trace, when set, anchors the scan's span tree (detect.image ->
+	// level[i]) under an existing span, so a CLI's -trace-out shows
+	// detection nested in its run. Each level span is recorded by the
+	// worker that claimed the level, so concurrent levels show as
+	// separate per-worker lanes. Nil starts root spans instead; spans
+	// are only created while telemetry is enabled.
 	Trace *obs.Span
 
 	descErrors atomic.Uint64 // windows dropped: DescriptorInto failed
-	scratch    sync.Pool     // *scanState, reused across scans
 }
 
 // NewDetector validates the configuration and returns a detector.

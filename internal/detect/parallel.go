@@ -1,23 +1,38 @@
-// Parallel scan engine: intra-image band parallelism plus multi-image
-// pipelining, both bit-identical to the sequential scan.
+// Parallel scan engine: pyramid levels claimed by a worker pool within
+// one image, plus multi-image pipelining, both bit-identical to the
+// sequential scan.
 //
-// Intra-image, each pyramid level's window rows are split into
-// contiguous bands dispatched to Config.Workers goroutines (clamped to
-// GOMAXPROCS, like eedn.TrainParallel). Every band appends into its
-// own scratch in (row, col) order and bands are merged in band order,
-// so the detection list comes out in exactly the sequential (level,
-// row, col) order regardless of worker count or scheduling.
+// Within one image (Detect) or one frame (Sequence), the unit of work
+// is a whole pyramid level. Up to Config.Workers goroutines (clamped to
+// GOMAXPROCS and to the level count; the caller is one of them) claim
+// levels, and the worker that claims a level does all of its work: for
+// Detect it resizes the level from the source image into its own
+// buffer (imgproc.ResizeRowsInto, bit-identical to imgproc.Resize),
+// runs GridInto into its own grid and scans the level's windows into
+// that level's own detection slice; for Sequence it refreshes the
+// level and rescans its dirty rows (temporal.go). After the join the
+// levels merge in level order, so the detection list comes out in
+// exactly the sequential (level, row, col) order regardless of worker
+// count or scheduling. No level reads another level's data, so every
+// stage — resize, grid and scan — runs in parallel and no worker waits
+// on another until the join.
+//
+// The caller claims from level 0 (the largest) upward and the helpers
+// from the smallest level downward, so only the caller's buffers ever
+// grow to frame size: a helper's grid and level image stay at the size
+// of the largest level it reached. Idle scan states are shared by all
+// Detectors through one bounded free list (idleStates).
 //
 // Multi-image, DetectAll/DetectStream hand whole images to the worker
-// pool instead (one scan state each, bands disabled) — the better
-// split for evaluation runs, where per-image work already saturates a
-// worker. Images are claimed off an atomic counter; results are keyed
-// by index, so output order is deterministic there too.
+// pool instead (one scan state each, one worker per image) — the
+// better split for evaluation runs, where per-image work already
+// saturates a worker. Images are claimed off an atomic counter; results
+// are keyed by index, so output order is deterministic there too.
 //
-// The steady-state inner window loop performs no allocations: the cell
-// grid is a reusable flat hog.Grid filled once per level, descriptors
-// are appended into per-worker scratch buffers via DescriptorInto, and
-// detection slices are recycled across levels and images.
+// The steady-state inner window loop performs no allocations: level
+// images and grids are reused per worker, descriptors are appended into
+// per-worker scratch buffers via DescriptorInto, and detection slices
+// are recycled across levels and images.
 package detect
 
 import (
@@ -47,220 +62,274 @@ func (c Config) effectiveWorkers() int {
 	return w
 }
 
-// workerScratch is one band worker's private state. desc and dets are
-// reused across bands, levels, and images, so the steady-state scan
-// allocates nothing.
+// workerScratch is one level worker's private state, reused across
+// levels, images and frames so the steady-state scan allocates nothing.
 type workerScratch struct {
-	desc    []float64   // descriptor append buffer
-	dets    []Detection // this band's detections, (row, col) order
-	windows uint64      // windows scanned this image
-	errs    uint64      // windows dropped this image (descriptor errors)
+	desc    []float64 // descriptor append buffer
+	windows uint64    // windows scanned this image
+	errs    uint64    // windows dropped this image (descriptor errors)
 	busy    time.Duration
+
+	// Detect: the claimed level's pixels (level 0 scans the source
+	// image itself) and cell grid.
+	level imgproc.Image
+	grid  hog.Grid
+
+	// Sequence: row- and column-run recompute scratch, and this
+	// frame's recomputed cells and clean (reused) window rows.
+	subGrid   hog.Grid
+	strip     imgproc.Image
+	stripGrid hog.Grid
+	runs      [][2]int32
+	cells     uint64
+	skipped   uint64
 }
 
-// scanState is the reusable per-scan state: the flat level grid plus
-// one scratch per worker. States are pooled on the Detector.
+// levelJob is one image's or frame's per-level work; runLevel does all
+// of level li on worker scratch sc. Calls for distinct levels run
+// concurrently.
+type levelJob interface {
+	runLevel(sc *workerScratch, li int)
+}
+
+// runLevels runs job over levels [0, n) on min(workers, n) workers:
+// the calling goroutine on ws[0], claiming from level 0 upward, and
+// helper goroutines on ws[1:], claiming from level n-1 downward. It
+// returns the number of workers used. One worker runs the levels in
+// order on the caller with no goroutine, closure or lock.
+func runLevels(job levelJob, ws []workerScratch, n, workers int) int {
+	w := min(workers, n)
+	if w <= 1 {
+		for li := 0; li < n; li++ {
+			job.runLevel(&ws[0], li)
+		}
+		return 1
+	}
+	var mu sync.Mutex
+	lo, hi := 0, n // unclaimed levels
+	claim := func(front bool) (int, bool) {
+		mu.Lock()
+		defer mu.Unlock()
+		if lo >= hi {
+			return 0, false
+		}
+		if front {
+			lo++
+			return lo - 1, true
+		}
+		hi--
+		return hi, true
+	}
+	var wg sync.WaitGroup
+	for k := 1; k < w; k++ {
+		sc := &ws[k]
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for li, ok := claim(false); ok; li, ok = claim(false) {
+				job.runLevel(sc, li)
+			}
+		}()
+	}
+	for li, ok := claim(true); ok; li, ok = claim(true) {
+		job.runLevel(&ws[0], li)
+	}
+	wg.Wait()
+	return w
+}
+
+// scanState is one Detect call's reusable state: one scratch per
+// worker and one detection slice per level. Idle states sit in
+// idleStates.
 type scanState struct {
-	grid hog.Grid
-	ws   []workerScratch
+	d     *Detector      // the scanning detector; nil between scans
+	img   *imgproc.Image // the image being scanned; nil between scans
+	span  *obs.Span      // detect.image while telemetry is enabled
+	sizes []imgproc.Size // the image's pyramid levels
+	ws    []workerScratch
+	dets  [][]Detection // per level, (row, col) order
 }
 
-// getState fetches a pooled scan state with room for workers bands.
-func (d *Detector) getState(workers int) *scanState {
-	st, _ := d.scratch.Get().(*scanState)
+// idleStates is the process-wide free list of scan states. Like a
+// sync.Pool it only caches buffers — no scan's output depends on which
+// state it gets — but it holds at most GOMAXPROCS states and keeps them
+// across garbage collections, where a pool keeps up to one per P plus
+// victim copies. A state holds no per-detector data, so detectors
+// driven in turn by one goroutine share one state.
+var idleStates struct {
+	sync.Mutex
+	list []*scanState
+}
+
+// getState takes an idle scan state off the free list, or makes one.
+func (d *Detector) getState() *scanState {
+	idleStates.Lock()
+	var st *scanState
+	if n := len(idleStates.list); n > 0 {
+		st = idleStates.list[n-1]
+		idleStates.list[n-1] = nil
+		idleStates.list = idleStates.list[:n-1]
+	}
+	idleStates.Unlock()
 	if st == nil {
 		st = &scanState{}
 	}
-	if len(st.ws) < workers {
-		st.ws = append(st.ws, make([]workerScratch, workers-len(st.ws))...)
-	}
+	st.d = d
 	return st
+}
+
+// putState returns st to the free list. The list keeps the GOMAXPROCS
+// most recently used states; an older surplus state is left to the GC,
+// so a warm state is never dropped in favour of a cold one.
+func putState(st *scanState) {
+	st.d = nil
+	idleStates.Lock()
+	if n := len(idleStates.list) - runtime.GOMAXPROCS(0) + 1; n > 0 {
+		k := copy(idleStates.list, idleStates.list[n:])
+		clear(idleStates.list[k:])
+		idleStates.list = idleStates.list[:k]
+	}
+	idleStates.list = append(idleStates.list, st)
+	idleStates.Unlock()
 }
 
 // DetectRaw returns all above-threshold windows before suppression, in
 // (level, row, col) scan order — invariant to Config.Workers. With
-// telemetry enabled it records per-level window counts and timings,
-// per-band timings, worker count, per-image parallel-phase worker
-// utilization (detect.worker_utilization, a bucketed histogram of
-// band-busy time over workers x parallel wall time, so serial pyramid
-// and grid phases don't dilute it), and an aggregate windows/s gauge;
-// the per-window inner loop itself carries no telemetry.
+// telemetry enabled it records per-level window counts and timings
+// (detect.level_windows, detect.level_ms, each level measured by the
+// worker that claimed it), the worker count, per-image worker
+// utilization (detect.worker_utilization, a bucketed histogram of level
+// busy time over workers x wall time of the level phase, observed for
+// images scanned by more than one worker), and an aggregate windows/s
+// gauge; the per-window inner loop itself carries no telemetry.
 func (d *Detector) DetectRaw(img *imgproc.Image) []Detection {
 	workers := d.Config.effectiveWorkers()
 	if obs.Enabled() {
 		obs.GaugeM("detect.workers").Set(float64(workers))
 	}
-	st := d.getState(workers)
+	st := d.getState()
 	out := d.detectRaw(st, img, workers)
-	d.scratch.Put(st)
+	putState(st)
 	return out
 }
 
-// detectRaw scans img with the given band worker count using st's
-// scratch. st must have at least workers scratches.
+// detectRaw scans img with up to workers level workers using st.
 func (d *Detector) detectRaw(st *scanState, img *imgproc.Image, workers int) []Detection {
 	cfg := d.Config
-	winW := cfg.WindowCellsX * cfg.CellSize
-	winH := cfg.WindowCellsY * cfg.CellSize
-	levels := imgproc.Pyramid(img, cfg.ScaleFactor, winW, winH, cfg.MaxLevels)
+	st.sizes = imgproc.PyramidSizes(img.W, img.H, cfg.ScaleFactor,
+		cfg.WindowCellsX*cfg.CellSize, cfg.WindowCellsY*cfg.CellSize, cfg.MaxLevels)
+	n := len(st.sizes)
+	if len(st.dets) < n {
+		st.dets = append(st.dets, make([][]Detection, n-len(st.dets))...)
+	}
+	if len(st.ws) < workers {
+		st.ws = append(st.ws, make([]workerScratch, workers-len(st.ws))...)
+	}
+	for k := range st.ws {
+		st.ws[k].windows, st.ws[k].errs, st.ws[k].busy = 0, 0, 0
+	}
+	st.img = img
 	measured := obs.Enabled()
 	var scanStart time.Time
-	var imgSpan *obs.Span
 	if measured {
 		scanStart = time.Now()
 		if d.Trace != nil {
-			imgSpan = d.Trace.StartChild("detect.image")
+			st.span = d.Trace.StartChild("detect.image")
 		} else {
-			imgSpan = obs.StartSpan("detect.image")
+			st.span = obs.StartSpan("detect.image")
 		}
 	}
-	for b := 0; b < workers; b++ {
-		st.ws[b].windows, st.ws[b].errs, st.ws[b].busy = 0, 0, 0
+	used := runLevels(st, st.ws, n, workers)
+	st.img = nil
+	var wall time.Duration
+	if measured {
+		wall = time.Since(scanStart)
 	}
-	// Parallel-phase utilization accumulators: band busy seconds and
-	// workers x wall seconds, summed over levels that actually fanned
-	// out. Levels narrow enough to run single-band are excluded — they
-	// measure nothing about worker balance.
-	var parBusy, parDenom float64
+	// Deterministic merge: levels in order, each in (row, col) order.
 	var out []Detection
-	for li, level := range levels {
-		var levelStart time.Time
-		var lvlSpan *obs.Span
-		if measured {
-			levelStart = time.Now()
-			lvlSpan = imgSpan.StartChild(fmt.Sprintf("level[%d]", li))
-		}
-		var levelBase uint64
-		for b := 0; b < workers; b++ {
-			levelBase += st.ws[b].windows
-		}
-		scale := math.Pow(cfg.ScaleFactor, float64(li))
-		d.Extractor.GridInto(&st.grid, level)
-		if st.grid.CellsY < cfg.WindowCellsY || st.grid.CellsX < cfg.WindowCellsX {
-			lvlSpan.End()
-			continue
-		}
-		nRows := (st.grid.CellsY-cfg.WindowCellsY)/cfg.StrideCells + 1
-		w := workers
-		if w > nRows {
-			w = nRows
-		}
-		if w <= 1 {
-			sc := &st.ws[0]
-			var bandStart time.Time
-			var bandSpan *obs.Span
-			if measured {
-				bandStart = time.Now()
-				bandSpan = lvlSpan.StartChild("band[0]")
-			}
-			d.scanBand(sc, &st.grid, 0, nRows, scale, winW, winH)
-			if measured {
-				bandSpan.End()
-				el := time.Since(bandStart)
-				sc.busy += el
-				obs.BucketHistogramM("detect.band_ms", obs.LatencyMSBuckets).Observe(float64(el.Microseconds()) / 1000)
-			}
-			out = append(out, sc.dets...)
-		} else {
-			var busyBefore time.Duration
-			var parStart time.Time
-			if measured {
-				for b := 0; b < w; b++ {
-					busyBefore += st.ws[b].busy
-				}
-				parStart = time.Now()
-			}
-			var wg sync.WaitGroup
-			for b := 0; b < w; b++ {
-				// Balanced contiguous split: band sizes differ by at most
-				// one row, so no worker draws an empty or double-length
-				// band on narrow levels (ceil-chunking did both, idling
-				// trailing workers and capping utilization).
-				r0 := b * nRows / w
-				r1 := (b + 1) * nRows / w
-				sc := &st.ws[b]
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					var bandStart time.Time
-					var bandSpan *obs.Span
-					if measured {
-						bandStart = time.Now()
-						bandSpan = lvlSpan.StartChild(fmt.Sprintf("band[%d]", b))
-					}
-					d.scanBand(sc, &st.grid, r0, r1, scale, winW, winH)
-					if measured {
-						bandSpan.End()
-						el := time.Since(bandStart)
-						sc.busy += el
-						obs.BucketHistogramM("detect.band_ms", obs.LatencyMSBuckets).Observe(float64(el.Microseconds()) / 1000)
-					}
-				}()
-			}
-			wg.Wait()
-			if measured {
-				var busyAfter time.Duration
-				for b := 0; b < w; b++ {
-					busyAfter += st.ws[b].busy
-				}
-				parBusy += (busyAfter - busyBefore).Seconds()
-				parDenom += float64(w) * time.Since(parStart).Seconds()
-			}
-			// Deterministic merge: bands cover ascending row ranges, so
-			// appending in band order restores the sequential scan order.
-			for b := 0; b < w; b++ {
-				out = append(out, st.ws[b].dets...)
-			}
-		}
-		if measured {
-			lvlSpan.End()
-			var lvlWindows uint64
-			for b := 0; b < workers; b++ {
-				lvlWindows += st.ws[b].windows
-			}
-			lvlWindows -= levelBase
-			obs.HistogramM("detect.level_windows").Observe(float64(lvlWindows))
-			obs.BucketHistogramM("detect.level_ms", obs.LatencyMSBuckets).Observe(float64(time.Since(levelStart).Microseconds()) / 1000)
-		}
+	for _, ld := range st.dets[:n] {
+		out = append(out, ld...)
 	}
 	var totalWindows, totalErrs uint64
-	for b := 0; b < workers; b++ {
-		totalWindows += st.ws[b].windows
-		totalErrs += st.ws[b].errs
+	var busy time.Duration
+	for k := range st.ws {
+		totalWindows += st.ws[k].windows
+		totalErrs += st.ws[k].errs
+		busy += st.ws[k].busy
 	}
 	if totalErrs > 0 {
 		d.descErrors.Add(totalErrs)
 	}
 	if measured {
-		imgSpan.End()
+		st.span.End()
+		st.span = nil
 		obs.CounterM("detect.images").Inc()
 		obs.CounterM("detect.windows_scanned").Add(totalWindows)
 		obs.CounterM("detect.windows_above_threshold").Add(uint64(len(out)))
-		obs.CounterM("detect.pyramid_levels").Add(uint64(len(levels)))
+		obs.CounterM("detect.pyramid_levels").Add(uint64(n))
 		obs.CounterM("detect.descriptor_errors").Add(totalErrs)
 		if secs := time.Since(scanStart).Seconds(); secs > 0 {
 			obs.GaugeM("detect.windows_per_sec").Set(float64(totalWindows) / secs)
 		}
-		if parDenom > 0 {
+		if used > 1 && wall > 0 {
 			obs.BucketHistogramM("detect.worker_utilization", obs.RatioBuckets).
-				Observe(parBusy / parDenom)
+				Observe(busy.Seconds() / (float64(used) * wall.Seconds()))
 		}
 	}
 	return out
 }
 
-// scanBand scans window rows [r0, r1) (in stride units) of the level
-// grid g into sc.dets, reset first, appending in (row, col) order. It
-// runs concurrently with other bands over the same read-only grid;
-// everything it writes is band-private. The loop is allocation-free
-// once sc's buffers are warm.
+// runLevel does all of level li of the image being scanned on worker
+// sc: resize (levels above 0), GridInto and the window scan into the
+// level's own detection slice.
+func (st *scanState) runLevel(sc *workerScratch, li int) {
+	d := st.d
+	cfg := d.Config
+	measured := obs.Enabled()
+	var levelStart time.Time
+	var span *obs.Span
+	windows0 := sc.windows
+	if measured {
+		levelStart = time.Now()
+		span = st.span.StartChild(fmt.Sprintf("level[%d]", li))
+	}
+	level := st.img
+	if li > 0 {
+		sz := st.sizes[li]
+		if np := sz.W * sz.H; cap(sc.level.Pix) < np {
+			sc.level.Pix = make([]float64, np)
+		}
+		sc.level.W, sc.level.H, sc.level.Pix = sz.W, sz.H, sc.level.Pix[:sz.W*sz.H]
+		imgproc.ResizeRowsInto(&sc.level, st.img, 0, sz.H)
+		level = &sc.level
+	}
+	d.Extractor.GridInto(&sc.grid, level)
+	dets := st.dets[li][:0]
+	if sc.grid.CellsY >= cfg.WindowCellsY && sc.grid.CellsX >= cfg.WindowCellsX {
+		dets = d.scanGrid(sc, &sc.grid, math.Pow(cfg.ScaleFactor, float64(li)), dets)
+	}
+	st.dets[li] = dets
+	if measured {
+		span.End()
+		el := time.Since(levelStart)
+		sc.busy += el
+		obs.HistogramM("detect.level_windows").Observe(float64(sc.windows - windows0))
+		obs.BucketHistogramM("detect.level_ms", obs.LatencyMSBuckets).Observe(float64(el.Microseconds()) / 1000)
+	}
+}
+
+// scanGrid scans every window of the level grid g, appending the
+// above-threshold ones to dst in (row, col) order; scale maps level
+// to image coordinates. Other workers scan other levels concurrently;
+// everything it writes is worker-private. The loop is allocation-free
+// once sc's and dst's buffers are warm.
 //
 //pcnn:hotpath
-func (d *Detector) scanBand(sc *workerScratch, g *hog.Grid, r0, r1 int, scale float64, winW, winH int) {
+func (d *Detector) scanGrid(sc *workerScratch, g *hog.Grid, scale float64, dst []Detection) []Detection {
 	cfg := d.Config
-	sc.dets = sc.dets[:0]
-	for r := r0; r < r1; r++ {
-		gy := r * cfg.StrideCells
+	winW := cfg.WindowCellsX * cfg.CellSize
+	winH := cfg.WindowCellsY * cfg.CellSize
+	for gy := 0; gy+cfg.WindowCellsY <= g.CellsY; gy += cfg.StrideCells {
 		for gx := 0; gx+cfg.WindowCellsX <= g.CellsX; gx += cfg.StrideCells {
 			sc.windows++
 			desc, err := d.Extractor.DescriptorInto(sc.desc[:0], g, gx, gy)
@@ -273,7 +342,7 @@ func (d *Detector) scanBand(sc *workerScratch, g *hog.Grid, r0, r1 int, scale fl
 			if s < cfg.Threshold {
 				continue
 			}
-			sc.dets = append(sc.dets, Detection{
+			dst = append(dst, Detection{
 				Box: dataset.Box{
 					X: int(float64(gx*cfg.CellSize) * scale),
 					Y: int(float64(gy*cfg.CellSize) * scale),
@@ -284,6 +353,7 @@ func (d *Detector) scanBand(sc *workerScratch, g *hog.Grid, r0, r1 int, scale fl
 			})
 		}
 	}
+	return dst
 }
 
 // DetectStream runs the full Detect pipeline (scan + NMS) over n
@@ -307,7 +377,7 @@ func (d *Detector) DetectStream(n int, src func(int) *imgproc.Image, sink func(i
 		workers = n
 	}
 	if workers <= 1 {
-		// Too few images to pipeline: let each image use band
+		// Too few images to pipeline: let each image use level
 		// parallelism instead.
 		for i := 0; i < n; i++ {
 			sink(i, d.Detect(src(i)))
@@ -324,8 +394,8 @@ func (d *Detector) DetectStream(n int, src func(int) *imgproc.Image, sink func(i
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			st := d.getState(1)
-			defer d.scratch.Put(st)
+			st := d.getState()
+			defer putState(st)
 			for {
 				i := int(next.Add(1)) - 1
 				if i >= n {

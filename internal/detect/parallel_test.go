@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"reflect"
 	"runtime"
+	"sync"
 	"testing"
 
 	"repro/internal/dataset"
@@ -121,12 +122,14 @@ func testImages(w, h int) []*imgproc.Image {
 
 // TestDetectWorkersBitIdentical is the differential property test: the
 // engine's output must be byte-identical to the legacy sequential scan
-// across worker counts, strides, and pyramid depths.
+// across worker counts, strides, and pyramid depths — including more
+// workers than levels (a one-level 64x128 frame, depths 1 and 2 at 8
+// workers).
 func TestDetectWorkersBitIdentical(t *testing.T) {
 	withProcs(t, 8)
-	imgs := testImages(224, 192)
+	imgs := append(testImages(224, 192), dataset.NewGenerator(42).NegativeImage(64, 128))
 	strides := []int{1, 2}
-	depths := []int{1, 3, 0} // 0 = scan until the window no longer fits
+	depths := []int{1, 2, 3, 0} // 0 = scan until the window no longer fits
 	if testing.Short() {
 		strides = []int{1}
 		depths = []int{2}
@@ -208,6 +211,84 @@ func TestDetectParallelShort(t *testing.T) {
 	}
 }
 
+// TestDetectConcurrentCallers drives one Detector from four goroutines
+// at once, each over its own frames, with level workers inside every
+// call: each result must equal serial Detect. Concurrent calls take
+// distinct scan states, so this is also the race lane's check that
+// the free list hands no state to two scans.
+func TestDetectConcurrentCallers(t *testing.T) {
+	withProcs(t, 4)
+	cfg := DefaultConfig()
+	cfg.MaxLevels = 3
+	cfg.Threshold = -1e18
+	det := testDetector(t, cfg)
+	gen := dataset.NewGenerator(23)
+	const callers, frames = 4, 3
+	imgs := make([][]*imgproc.Image, callers)
+	want := make([][][]Detection, callers)
+	for c := range imgs {
+		for f := 0; f < frames; f++ {
+			img := gen.NegativeImage(128+16*c, 160)
+			imgs[c] = append(imgs[c], img)
+			want[c] = append(want[c], det.Detect(img))
+		}
+	}
+	det.Config.Workers = 2
+	got := make([][][]Detection, callers)
+	var wg sync.WaitGroup
+	for c := 0; c < callers; c++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for _, img := range imgs[c] {
+				got[c] = append(got[c], det.Detect(img))
+			}
+		}()
+	}
+	wg.Wait()
+	for c := range want {
+		for f := range want[c] {
+			if !reflect.DeepEqual(got[c][f], want[c][f]) {
+				t.Fatalf("caller %d frame %d: concurrent Detect diverges from serial (%d vs %d dets)",
+					c, f, len(got[c][f]), len(want[c][f]))
+			}
+		}
+	}
+}
+
+// TestDetectFrameBytesBelowLevelImage pins what the level workers'
+// reused buffers saved: a warm one-worker Detect of a 640x480 frame
+// allocates less per frame than one resized pyramid level would take,
+// where it used to allocate every level of the pyramid.
+func TestDetectFrameBytesBelowLevelImage(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation inflates allocation sizes")
+	}
+	cfg := DefaultConfig()
+	det := testDetector(t, cfg)
+	img := dataset.NewGenerator(31).Scene(640, 480, 2, 130, 380).Image
+	winW, winH := cfg.WindowCellsX*cfg.CellSize, cfg.WindowCellsY*cfg.CellSize
+	sizes := imgproc.PyramidSizes(img.W, img.H, cfg.ScaleFactor, winW, winH, cfg.MaxLevels)
+	if len(sizes) < 2 {
+		t.Fatal("frame has no resized level")
+	}
+	levelBytes := uint64(sizes[1].W*sizes[1].H) * 8
+	det.Detect(img) // warm the scan state
+	const frames = 3
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < frames; i++ {
+		det.Detect(img)
+	}
+	runtime.ReadMemStats(&after)
+	perFrame := (after.TotalAlloc - before.TotalAlloc) / frames
+	if perFrame >= levelBytes {
+		t.Fatalf("warm Detect allocates %d B per frame, want < %d B (one %dx%d level)",
+			perFrame, levelBytes, sizes[1].W, sizes[1].H)
+	}
+	t.Logf("warm Detect: %d B per frame; level 1 image %d B", perFrame, levelBytes)
+}
+
 // TestWorkerUtilizationHistogram checks the per-image utilization
 // metric: with telemetry on and a parallel scan, every DetectRaw must
 // observe one ratio in (0, 1] into the bucketed histogram (so p50/p99
@@ -251,18 +332,14 @@ func TestDetectSteadyStateAllocs(t *testing.T) {
 	cfg.Threshold = -1e18 // every window appends a detection
 	det := testDetector(t, cfg)
 	img := dataset.NewGenerator(9).NegativeImage(160, 160)
-	st := det.getState(1)
-	det.Extractor.GridInto(&st.grid, img)
-	if st.grid.CellsY < cfg.WindowCellsY || st.grid.CellsX < cfg.WindowCellsX {
+	sc := &workerScratch{}
+	det.Extractor.GridInto(&sc.grid, img)
+	if sc.grid.CellsY < cfg.WindowCellsY || sc.grid.CellsX < cfg.WindowCellsX {
 		t.Fatal("test image too small")
 	}
-	nRows := (st.grid.CellsY-cfg.WindowCellsY)/cfg.StrideCells + 1
-	sc := &st.ws[0]
-	winW := cfg.WindowCellsX * cfg.CellSize
-	winH := cfg.WindowCellsY * cfg.CellSize
-	det.scanBand(sc, &st.grid, 0, nRows, 1, winW, winH) // warm buffers
+	dets := det.scanGrid(sc, &sc.grid, 1, nil) // warm buffers
 	allocs := testing.AllocsPerRun(10, func() {
-		det.scanBand(sc, &st.grid, 0, nRows, 1, winW, winH)
+		dets = det.scanGrid(sc, &sc.grid, 1, dets[:0])
 	})
 	if allocs != 0 {
 		t.Fatalf("steady-state scan allocates %.1f/op, want 0", allocs)

@@ -36,11 +36,16 @@
 // only ever cells whose underlying pixels compared equal (or verified
 // shifted-equal), and compare-equal float64 pixels propagate through
 // the deterministic extractor and scorer to ==-equal detections.
+//
+// Parallelism follows Detect's schedule (parallel.go): the level-0 diff
+// or pan runs serially on the caller, then the worker pool claims whole
+// levels, and the worker that claims a level refreshes its image,
+// marks its dirty rows, updates its grid and scans its rows into the
+// level's own cache. Levels merge in level order after the join.
 package detect
 
 import (
 	"math"
-	"sync"
 	"time"
 
 	"repro/internal/dataset"
@@ -68,11 +73,10 @@ type seqLevel struct {
 	cellsX, cellsY int
 	nRows, nCols   int // window grid in stride units
 
-	changed  []bool  // pixel rows that differ from the previous frame
-	chPre    []int32 // prefix sums over changed
-	dirty    []bool  // dirty cell rows
-	dPre     []int32 // prefix sums over dirty
-	rowClass []uint8 // per window row, one of seqRow*
+	changed []bool  // pixel rows that differ from the previous frame
+	chPre   []int32 // prefix sums over changed
+	dirty   []bool  // dirty cell rows
+	dPre    []int32 // prefix sums over dirty
 
 	// Dirty cell-column ranges (conservative; at most two: the motion
 	// extent, plus the far-edge sliver under horizontal pan).
@@ -99,24 +103,18 @@ type seqLevel struct {
 // equally-sized frames. Create one with Detector.NewSequence and feed
 // frames through Next/NextPanned; a Sequence is not safe for
 // concurrent use, and the slice Next returns is only valid until the
-// next call. Reuse requires a deterministic extractor — the same
-// exception as DetectStream (parrot stochastic coding) applies, since
-// it can score identical pixels differently between frames.
+// next call. Each frame's levels are claimed by up to Config.Workers
+// workers, the same schedule as Detect. Reuse requires a deterministic
+// extractor — the same exception as Detect at Workers >= 2 (parrot
+// stochastic coding) applies, since it can score identical pixels
+// differently between frames.
 type Sequence struct {
 	d      *Detector
 	lv     []*seqLevel
 	primed bool
+	pan    bool // this frame's level 0 was shifted by tryPan
 
-	ws        []workerScratch
-	subGrid   hog.Grid      // scratch grid for full-width row-run recompute
-	strip     imgproc.Image // owned pixel strip for column-run recompute
-	stripGrid hog.Grid
-
-	workRows []int32    // this level's non-clean window rows
-	rowLens  []int32    // per window row, detections produced by workers
-	bnd      []int32    // worker bucket boundaries over workRows
-	cw       []int32    // per-worker assembly cursors
-	runs     [][2]int32 // dirty cell-row runs scratch
+	ws []workerScratch
 
 	raw []Detection // this frame's merged raw candidates, scan order
 	out []Detection // NMS output returned to the caller
@@ -124,10 +122,6 @@ type Sequence struct {
 	winW, winH   int
 	totalWindows uint64
 	bx0, bx1     int // base-frame changed pixel-column extent
-
-	// Per-frame telemetry accumulators.
-	frCells   uint64
-	frSkipped uint64
 
 	frames  uint64
 	elapsed time.Duration
@@ -181,18 +175,17 @@ func (s *Sequence) NextPanned(img *imgproc.Image, panX, panY int) []Detection {
 	if len(s.ws) < workers {
 		s.ws = append(s.ws, make([]workerScratch, workers-len(s.ws))...)
 	}
-	for b := range s.ws {
-		s.ws[b].windows, s.ws[b].errs = 0, 0
+	for k := range s.ws {
+		sc := &s.ws[k]
+		sc.windows, sc.errs, sc.cells, sc.skipped = 0, 0, 0, 0
 	}
-	s.frCells, s.frSkipped = 0, 0
-	s.raw = s.raw[:0]
 
 	base := s.lv[0]
-	pan := false
+	s.pan = false
 	if s.primed && (panX != 0 || panY != 0) {
-		pan = s.tryPan(img, panX, panY)
+		s.pan = s.tryPan(img, panX, panY)
 	}
-	if !pan {
+	if !s.pan {
 		if s.primed {
 			s.diffPlain(img)
 		} else {
@@ -202,31 +195,22 @@ func (s *Sequence) NextPanned(img *imgproc.Image, panX, panY int) []Detection {
 			s.bx0, s.bx1 = 0, base.w
 			copy(base.img.Pix, img.Pix)
 		}
-		base.buildChPre()
-		base.computeDirty(cfg.CellSize)
-		base.pan, base.srcRowDelta, base.srcColDelta, base.adjX, base.adjY = false, 0, 0, 0, 0
-		s.levelColRange(base)
-		s.updateGrid(base, false)
 	}
-	s.scanLevel(base, workers)
-	for li := 1; li < len(s.lv); li++ {
-		lv := s.lv[li]
-		s.refreshLevelImage(lv, pan)
-		lv.buildChPre()
-		lv.computeDirty(cfg.CellSize)
-		lv.pan, lv.srcRowDelta, lv.srcColDelta, lv.adjX, lv.adjY = false, 0, 0, 0, 0
-		s.levelColRange(lv)
-		s.updateGrid(lv, false)
-		s.scanLevel(lv, workers)
-	}
+	runLevels(s, s.ws, len(s.lv), workers)
 	s.primed = true
 
+	s.raw = s.raw[:0]
+	for _, lv := range s.lv {
+		s.raw = append(s.raw, lv.dets[lv.cur]...)
+	}
 	s.out = NMSInto(s.out[:0], s.raw, cfg.NMSEpsilon)
 
-	var scanned, errs uint64
-	for b := range s.ws {
-		scanned += s.ws[b].windows
-		errs += s.ws[b].errs
+	var scanned, errs, cells, skipped uint64
+	for k := range s.ws {
+		scanned += s.ws[k].windows
+		errs += s.ws[k].errs
+		cells += s.ws[k].cells
+		skipped += s.ws[k].skipped
 	}
 	if errs > 0 {
 		s.d.descErrors.Add(errs)
@@ -236,8 +220,8 @@ func (s *Sequence) NextPanned(img *imgproc.Image, panX, panY int) []Detection {
 		s.elapsed += time.Since(t0)
 		obs.GaugeM("detect.workers").Set(float64(workers))
 		obs.CounterM("detect.frames").Inc()
-		obs.CounterM("detect.bands_skipped").Add(s.frSkipped)
-		obs.CounterM("detect.cells_recomputed").Add(s.frCells)
+		obs.CounterM("detect.bands_skipped").Add(skipped)
+		obs.CounterM("detect.cells_recomputed").Add(cells)
 		obs.CounterM("detect.windows_scanned").Add(scanned)
 		obs.CounterM("detect.nms_in").Add(uint64(len(s.raw)))
 		obs.CounterM("detect.nms_out").Add(uint64(len(s.out)))
@@ -253,9 +237,9 @@ func (s *Sequence) NextPanned(img *imgproc.Image, panX, panY int) []Detection {
 }
 
 // init sizes every persistent buffer for w x h frames. Level
-// dimensions follow imgproc.Pyramid (running-product scale for sizes);
-// box scaling uses math.Pow exactly like detectRaw, so coordinates
-// round identically.
+// dimensions are imgproc.PyramidSizes, as in Detect; box scaling uses
+// math.Pow exactly like Detect's scan, so coordinates round
+// identically.
 func (s *Sequence) init(w, h int) {
 	cfg := s.d.Config
 	s.winW = cfg.WindowCellsX * cfg.CellSize
@@ -263,21 +247,8 @@ func (s *Sequence) init(w, h int) {
 	s.lv = s.lv[:0]
 	s.primed = false
 	s.totalWindows = 0
-	sizeScale := 1.0
-	maxRows, maxCellsY := 0, 0
-	for li := 0; ; li++ {
-		if cfg.MaxLevels > 0 && li >= cfg.MaxLevels {
-			break
-		}
-		lw, lh := w, h
-		if li > 0 {
-			sizeScale *= cfg.ScaleFactor
-			lw = int(math.Round(float64(w) / sizeScale))
-			lh = int(math.Round(float64(h) / sizeScale))
-			if lw < s.winW || lh < s.winH {
-				break
-			}
-		}
+	for li, sz := range imgproc.PyramidSizes(w, h, cfg.ScaleFactor, s.winW, s.winH, cfg.MaxLevels) {
+		lw, lh := sz.W, sz.H
 		lv := &seqLevel{w: lw, h: lh, scale: math.Pow(cfg.ScaleFactor, float64(li))}
 		lv.img = imgproc.New(lw, lh)
 		cs := cfg.CellSize
@@ -290,26 +261,10 @@ func (s *Sequence) init(w, h int) {
 		lv.chPre = make([]int32, lh+1)
 		lv.dirty = make([]bool, lv.cellsY)
 		lv.dPre = make([]int32, lv.cellsY+1)
-		lv.rowClass = make([]uint8, lv.nRows)
 		lv.rowStart[0] = make([]int32, 0, lv.nRows+1)
 		lv.rowStart[1] = make([]int32, 0, lv.nRows+1)
 		s.totalWindows += uint64(lv.nRows) * uint64(lv.nCols)
-		if lv.nRows > maxRows {
-			maxRows = lv.nRows
-		}
-		if lv.cellsY > maxCellsY {
-			maxCellsY = lv.cellsY
-		}
 		s.lv = append(s.lv, lv)
-	}
-	if cap(s.workRows) < maxRows {
-		s.workRows = make([]int32, 0, maxRows)
-	}
-	if len(s.rowLens) < maxRows {
-		s.rowLens = make([]int32, maxRows)
-	}
-	if cap(s.runs) < maxCellsY {
-		s.runs = make([][2]int32, 0, maxCellsY)
 	}
 }
 
@@ -351,9 +306,11 @@ func (s *Sequence) diffPlain(img *imgproc.Image) {
 }
 
 // tryPan attempts the aligned-pan fast path at level 0. On success the
-// base level's change state, grid, and reuse geometry are fully set up
-// and true is returned; on any precondition failure nothing has been
-// mutated and the caller falls back to the plain diff.
+// base level's change state, shifted grid, dirty rows and columns, and
+// reuse geometry are set up (the level-0 worker then recomputes the
+// dirty cells) and true is returned; on any precondition failure
+// nothing has been mutated and the caller falls back to the plain
+// diff.
 func (s *Sequence) tryPan(img *imgproc.Image, panX, panY int) bool {
 	base := s.lv[0]
 	cfg := s.d.Config
@@ -427,7 +384,6 @@ func (s *Sequence) tryPan(img *imgproc.Image, panX, panY int) bool {
 		base.addColRange(0, -dxc+2)
 		base.addColRange(cx-2, cx)
 	}
-	s.updateGrid(base, true)
 	base.pan = true
 	base.srcRowDelta = dyc / cfg.StrideCells
 	base.srcColDelta = dxc
@@ -435,6 +391,28 @@ func (s *Sequence) tryPan(img *imgproc.Image, panX, panY int) bool {
 	// Deeper levels resample moved content: everything there is stale.
 	s.bx0, s.bx1 = 0, bw
 	return true
+}
+
+// runLevel does all of level li's frame work on worker sc, after the
+// serial level-0 diff or pan: it brings the level's image, dirty rows
+// and column ranges up to date, recomputes its dirty cells and scans
+// its window rows into the level's cache. Deeper levels only read the
+// base level's image and changed rows, which no worker writes.
+func (s *Sequence) runLevel(sc *workerScratch, li int) {
+	lv := s.lv[li]
+	// Under pan, tryPan has already shifted level 0's grid and marked
+	// its dirty rows and columns.
+	if li > 0 || !s.pan {
+		if li > 0 {
+			s.refreshLevelImage(lv, s.pan)
+		}
+		lv.buildChPre()
+		lv.computeDirty(s.d.Config.CellSize)
+		lv.pan, lv.srcRowDelta, lv.srcColDelta, lv.adjX, lv.adjY = false, 0, 0, 0, 0
+		s.levelColRange(lv)
+	}
+	s.updateGrid(sc, lv, lv.pan)
+	s.scanLevel(sc, lv)
 }
 
 // refreshLevelImage brings a deeper level's image up to date with the
@@ -593,7 +571,7 @@ func (lv *seqLevel) addColRange(c0, c1 int) {
 // pixel strips (the pan path, where exposed columns cut across every
 // row). When the whole grid is dirty, or no block plane exists to
 // rebuild, it falls back to a plain full GridInto.
-func (s *Sequence) updateGrid(lv *seqLevel, colSplices bool) {
+func (s *Sequence) updateGrid(sc *workerScratch, lv *seqLevel, colSplices bool) {
 	cfg := s.d.Config
 	cs := cfg.CellSize
 	bc := lv.grid.BlockCells() // captured before splices invalidate the plane
@@ -608,10 +586,10 @@ func (s *Sequence) updateGrid(lv *seqLevel, colSplices bool) {
 	}
 	if nDirty == lv.cellsY || bc == 0 {
 		s.d.Extractor.GridInto(&lv.grid, lv.img)
-		s.frCells += uint64(lv.cellsX) * uint64(lv.cellsY)
+		sc.cells += uint64(lv.cellsX) * uint64(lv.cellsY)
 		return
 	}
-	s.runs = s.runs[:0]
+	sc.runs = sc.runs[:0]
 	for r := 0; r < lv.cellsY; {
 		if !lv.dirty[r] {
 			r++
@@ -621,10 +599,10 @@ func (s *Sequence) updateGrid(lv *seqLevel, colSplices bool) {
 		for r1 < lv.cellsY && lv.dirty[r1] {
 			r1++
 		}
-		s.runs = append(s.runs, [2]int32{int32(r), int32(r1)})
+		sc.runs = append(sc.runs, [2]int32{int32(r), int32(r1)})
 		r = r1
 	}
-	for _, run := range s.runs {
+	for _, run := range sc.runs {
 		r0, r1 := int(run[0]), int(run[1])
 		s0, s1 := r0-1, r1+1
 		if s0 < 0 {
@@ -639,24 +617,24 @@ func (s *Sequence) updateGrid(lv *seqLevel, colSplices bool) {
 		}
 		lv.sub.W, lv.sub.H = lv.w, py1-py0
 		lv.sub.Pix = lv.img.Pix[py0*lv.w : py1*lv.w]
-		s.d.Extractor.GridInto(&s.subGrid, &lv.sub)
-		if s.subGrid.CellsX != lv.cellsX || s.subGrid.Bins != lv.grid.Bins {
+		s.d.Extractor.GridInto(&sc.subGrid, &lv.sub)
+		if sc.subGrid.CellsX != lv.cellsX || sc.subGrid.Bins != lv.grid.Bins {
 			// Unexpected geometry from the extractor: recompute fully.
 			s.d.Extractor.GridInto(&lv.grid, lv.img)
-			s.frCells += uint64(lv.cellsX) * uint64(lv.cellsY)
+			sc.cells += uint64(lv.cellsX) * uint64(lv.cellsY)
 			return
 		}
-		lv.grid.SpliceRows(&s.subGrid, r0-s0, r0, r1)
-		s.frCells += uint64(r1-r0) * uint64(lv.cellsX)
+		lv.grid.SpliceRows(&sc.subGrid, r0-s0, r0, r1)
+		sc.cells += uint64(r1-r0) * uint64(lv.cellsX)
 	}
 	if colSplices {
 		for k := 0; k < lv.nColRanges; k++ {
-			s.spliceColRange(lv, lv.colRanges[k][0], lv.colRanges[k][1])
+			s.spliceColRange(sc, lv, lv.colRanges[k][0], lv.colRanges[k][1])
 		}
 	}
 	nby := lv.cellsY - bc + 1
 	ok := true
-	for _, run := range s.runs {
+	for _, run := range sc.runs {
 		br0, br1 := int(run[0])-bc+1, int(run[1])
 		if br0 < 0 {
 			br0 = 0
@@ -689,7 +667,7 @@ func (s *Sequence) updateGrid(lv *seqLevel, colSplices bool) {
 	}
 	if !ok {
 		s.d.Extractor.GridInto(&lv.grid, lv.img)
-		s.frCells += uint64(lv.cellsX) * uint64(lv.cellsY)
+		sc.cells += uint64(lv.cellsX) * uint64(lv.cellsY)
 	}
 }
 
@@ -697,7 +675,7 @@ func (s *Sequence) updateGrid(lv *seqLevel, colSplices bool) {
 // copied pixel strip with one margin cell column on each interior side
 // (plus one extra pixel column on an interior right edge), full
 // height, and splices the interior columns back into the grid.
-func (s *Sequence) spliceColRange(lv *seqLevel, c0, c1 int) {
+func (s *Sequence) spliceColRange(sc *workerScratch, lv *seqLevel, c0, c1 int) {
 	if c0 >= c1 {
 		return
 	}
@@ -715,29 +693,31 @@ func (s *Sequence) spliceColRange(lv *seqLevel, c0, c1 int) {
 	}
 	sw := px1 - px0
 	need := sw * lv.h
-	if cap(s.strip.Pix) < need {
-		s.strip.Pix = make([]float64, need)
+	if cap(sc.strip.Pix) < need {
+		sc.strip.Pix = make([]float64, need)
 	}
-	s.strip.Pix = s.strip.Pix[:need]
-	s.strip.W, s.strip.H = sw, lv.h
+	sc.strip.Pix = sc.strip.Pix[:need]
+	sc.strip.W, sc.strip.H = sw, lv.h
 	for y := 0; y < lv.h; y++ {
-		copy(s.strip.Pix[y*sw:(y+1)*sw], lv.img.Pix[y*lv.w+px0:y*lv.w+px1])
+		copy(sc.strip.Pix[y*sw:(y+1)*sw], lv.img.Pix[y*lv.w+px0:y*lv.w+px1])
 	}
-	s.d.Extractor.GridInto(&s.stripGrid, &s.strip)
-	if s.stripGrid.CellsY != lv.cellsY || s.stripGrid.Bins != lv.grid.Bins {
+	s.d.Extractor.GridInto(&sc.stripGrid, &sc.strip)
+	if sc.stripGrid.CellsY != lv.cellsY || sc.stripGrid.Bins != lv.grid.Bins {
 		s.d.Extractor.GridInto(&lv.grid, lv.img)
-		s.frCells += uint64(lv.cellsX) * uint64(lv.cellsY)
+		sc.cells += uint64(lv.cellsX) * uint64(lv.cellsY)
 		return
 	}
-	lv.grid.SpliceCols(&s.stripGrid, c0-c0m, c0, c1)
-	s.frCells += uint64(c1-c0) * uint64(lv.cellsY)
+	lv.grid.SpliceCols(&sc.stripGrid, c0-c0m, c0, c1)
+	sc.cells += uint64(c1-c0) * uint64(lv.cellsY)
 }
 
-// scanLevel classifies every window row of lv, rescans the non-clean
-// rows across the worker pool, and assembles the level's raw candidate
-// list in exact (row, col) scan order — clean rows copied from the
-// previous frame's cache, worker output merged in row order.
-func (s *Sequence) scanLevel(lv *seqLevel, workers int) {
+// scanLevel classifies every window row of lv and rebuilds the level's
+// raw candidate cache in exact (row, col) scan order: clean rows are
+// copied from the previous frame's cache, the others rescanned by
+// scanSeqRow. The worker that claimed the level runs all of it.
+//
+//pcnn:hotpath
+func (s *Sequence) scanLevel(sc *workerScratch, lv *seqLevel) {
 	if lv.nRows <= 0 {
 		return
 	}
@@ -753,7 +733,11 @@ func (s *Sequence) scanLevel(lv *seqLevel, workers int) {
 	}
 	allCols := lv.nColRanges == 1 &&
 		lv.colRanges[0][0] <= 0 && lv.colRanges[0][1] >= lv.cellsX
-	s.workRows = s.workRows[:0]
+	nxt := 1 - lv.cur
+	nd := lv.dets[nxt][:0]
+	nrs := append(lv.rowStart[nxt][:0], 0)
+	prevDets := lv.dets[lv.cur]
+	prevRS := lv.rowStart[lv.cur]
 	for r := 0; r < lv.nRows; r++ {
 		gy := r * stride
 		rowDirty := lv.dPre[gy+wcy]-lv.dPre[gy] > 0
@@ -773,61 +757,10 @@ func (s *Sequence) scanLevel(lv *seqLevel, workers int) {
 				class = seqRowFull
 			}
 		}
-		lv.rowClass[r] = class
-		if class == seqRowClean {
-			s.frSkipped++
+		if class != seqRowClean {
+			nd = s.scanSeqRow(sc, lv, r, class == seqRowFull, nd)
 		} else {
-			s.workRows = append(s.workRows, int32(r))
-		}
-	}
-	n := len(s.workRows)
-	w := workers
-	if w > n {
-		w = n
-	}
-	if n > 0 {
-		if len(s.bnd) < w+1 {
-			s.bnd = append(s.bnd, make([]int32, w+1-len(s.bnd))...)
-		}
-		for b := 0; b <= w; b++ {
-			s.bnd[b] = int32(b * n / w)
-		}
-		if w <= 1 {
-			sc := &s.ws[0]
-			sc.dets = sc.dets[:0]
-			s.scanRows(sc, lv, 0, n)
-		} else {
-			var wg sync.WaitGroup
-			for b := 0; b < w; b++ {
-				sc := &s.ws[b]
-				i0, i1 := int(s.bnd[b]), int(s.bnd[b+1])
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					sc.dets = sc.dets[:0]
-					s.scanRows(sc, lv, i0, i1)
-				}()
-			}
-			wg.Wait()
-		}
-	}
-	// Assembly: rows in order, clean rows from the previous buffer,
-	// worker rows consumed through per-worker cursors (workers own
-	// contiguous ascending row buckets, so a single cursor each).
-	nxt := 1 - lv.cur
-	nd := lv.dets[nxt][:0]
-	nrs := append(lv.rowStart[nxt][:0], 0)
-	prevDets := lv.dets[lv.cur]
-	prevRS := lv.rowStart[lv.cur]
-	if len(s.cw) < w {
-		s.cw = append(s.cw, make([]int32, w-len(s.cw))...)
-	}
-	for b := 0; b < w; b++ {
-		s.cw[b] = 0
-	}
-	wrIdx, bkt := 0, 0
-	for r := 0; r < lv.nRows; r++ {
-		if lv.rowClass[r] == seqRowClean {
+			sc.skipped++
 			src := r + lv.srcRowDelta
 			seg := prevDets[prevRS[src]:prevRS[src+1]]
 			if lv.adjX == 0 && lv.adjY == 0 {
@@ -839,51 +772,25 @@ func (s *Sequence) scanLevel(lv *seqLevel, workers int) {
 					nd = append(nd, det)
 				}
 			}
-		} else {
-			for wrIdx >= int(s.bnd[bkt+1]) {
-				bkt++
-			}
-			m := int(s.rowLens[r])
-			cur := int(s.cw[bkt])
-			nd = append(nd, s.ws[bkt].dets[cur:cur+m]...)
-			s.cw[bkt] += int32(m)
-			wrIdx++
 		}
 		nrs = append(nrs, int32(len(nd)))
 	}
 	lv.dets[nxt], lv.rowStart[nxt] = nd, nrs
 	lv.cur = nxt
-	s.raw = append(s.raw, nd...)
 }
 
-// scanRows processes workRows[i0:i1) into sc, recording per-row
-// detection counts. Runs concurrently with other workers over the same
-// read-only grid and caches; everything written is worker-private
-// (rowLens entries are distinct per row).
-//
-//pcnn:hotpath
-func (s *Sequence) scanRows(sc *workerScratch, lv *seqLevel, i0, i1 int) {
-	for i := i0; i < i1; i++ {
-		r := int(s.workRows[i])
-		n0 := len(sc.dets)
-		s.scanSeqRow(sc, lv, r)
-		s.rowLens[r] = int32(len(sc.dets) - n0)
-	}
-}
-
-// scanSeqRow emits window row r's detections in column order: a full
-// row rescans every window; a mixed row rescans only windows
+// scanSeqRow appends window row r's detections to dst in column order:
+// a full row rescans every window; a mixed row rescans only windows
 // overlapping the dirty cell-column ranges and merges the rest from
 // the previous frame's cache by source box position. The loop is
-// allocation-free once sc's buffers are warm.
+// allocation-free once sc's and dst's buffers are warm.
 //
 //pcnn:hotpath
-func (s *Sequence) scanSeqRow(sc *workerScratch, lv *seqLevel, r int) {
+func (s *Sequence) scanSeqRow(sc *workerScratch, lv *seqLevel, r int, full bool, dst []Detection) []Detection {
 	d := s.d
 	cfg := d.Config
 	g := &lv.grid
 	gy := r * cfg.StrideCells
-	full := lv.rowClass[r] == seqRowFull
 	var prev []Detection
 	pc := 0
 	if !full {
@@ -911,7 +818,7 @@ func (s *Sequence) scanSeqRow(sc *workerScratch, lv *seqLevel, r int) {
 					pc++
 					det.Box.X += lv.adjX
 					det.Box.Y += lv.adjY
-					sc.dets = append(sc.dets, det)
+					dst = append(dst, det)
 				}
 				continue
 			}
@@ -927,7 +834,7 @@ func (s *Sequence) scanSeqRow(sc *workerScratch, lv *seqLevel, r int) {
 		if score < cfg.Threshold {
 			continue
 		}
-		sc.dets = append(sc.dets, Detection{
+		dst = append(dst, Detection{
 			Box: dataset.Box{
 				X: int(float64(gx*cfg.CellSize) * lv.scale),
 				Y: int(float64(gy*cfg.CellSize) * lv.scale),
@@ -937,6 +844,7 @@ func (s *Sequence) scanSeqRow(sc *workerScratch, lv *seqLevel, r int) {
 			Score: score,
 		})
 	}
+	return dst
 }
 
 // iabs returns |v|.

@@ -65,33 +65,39 @@ func perFrameWant(det *Detector, frames []dataset.Frame) [][]Detection {
 // test: for static, moving, panning, jittering, and globally-changing
 // sequences, the Sequence output must be bit-identical to independent
 // per-frame Detect calls at every worker count and stride — including
-// the strides that break pan alignment and force the fallback.
+// the strides that break pan alignment and force the fallback, and more
+// workers than levels (a one-level 64x128 stream, depths 2 and 3 at 8
+// workers).
 func TestSequenceMatchesPerFrame(t *testing.T) {
 	withProcs(t, 8)
 	scenarios := []string{"static", "walkers", "pan", "jitter", "lightramp"}
 	strides := []int{1, 2}
+	geoms := []struct{ w, h, maxLevels int }{{168, 176, 3}, {168, 176, 2}, {64, 128, 0}}
 	if testing.Short() {
 		scenarios = []string{"walkers", "pan"}
 		strides = []int{1}
+		geoms = []struct{ w, h, maxLevels int }{{168, 176, 3}, {64, 128, 0}}
 	}
 	for _, scenario := range scenarios {
-		frames := seqFrames(t, 7, scenario, 168, 176, 5)
-		for _, stride := range strides {
-			cfg := DefaultConfig()
-			cfg.MaxLevels = 3
-			cfg.StrideCells = stride
-			cfg.Threshold = -1e18 // keep every window: maximal reuse surface
-			det := testDetector(t, cfg)
-			det.Config.Workers = 1
-			want := perFrameWant(det, frames)
-			for _, workers := range []int{1, 2, 8} {
-				det.Config.Workers = workers
-				seq := det.NewSequence()
-				for i, f := range frames {
-					got := seq.NextPanned(f.Image, f.PanX, f.PanY)
-					if !reflect.DeepEqual(got, want[i]) {
-						t.Fatalf("%s stride %d workers %d frame %d: temporal diverges (%d vs %d dets)",
-							scenario, stride, workers, i, len(got), len(want[i]))
+		for _, geom := range geoms {
+			frames := seqFrames(t, 7, scenario, geom.w, geom.h, 5)
+			for _, stride := range strides {
+				cfg := DefaultConfig()
+				cfg.MaxLevels = geom.maxLevels
+				cfg.StrideCells = stride
+				cfg.Threshold = -1e18 // keep every window: maximal reuse surface
+				det := testDetector(t, cfg)
+				det.Config.Workers = 1
+				want := perFrameWant(det, frames)
+				for _, workers := range []int{1, 2, 8} {
+					det.Config.Workers = workers
+					seq := det.NewSequence()
+					for i, f := range frames {
+						got := seq.NextPanned(f.Image, f.PanX, f.PanY)
+						if !reflect.DeepEqual(got, want[i]) {
+							t.Fatalf("%s %dx%d depth %d stride %d workers %d frame %d: temporal diverges (%d vs %d dets)",
+								scenario, geom.w, geom.h, geom.maxLevels, stride, workers, i, len(got), len(want[i]))
+						}
 					}
 				}
 			}

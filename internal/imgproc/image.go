@@ -149,8 +149,9 @@ func Resize(m *Image, w, h int) *Image {
 // has already been sized to the target dimensions. Each output row of
 // the bilinear filter depends only on src, never on other output rows,
 // so recomputing a subset of rows yields bit-identical pixels to a
-// full Resize — the property the temporal detector's partial pyramid
-// refresh relies on. Rows outside [0, dst.H) are clipped.
+// full Resize — the property the detector's per-worker level buffers
+// and the temporal detector's partial pyramid refresh rely on. Rows
+// outside [0, dst.H) are clipped.
 func ResizeRowsInto(dst, src *Image, y0, y1 int) {
 	if src.W == 0 || src.H == 0 || dst.W == 0 || dst.H == 0 {
 		return
@@ -194,28 +195,42 @@ func resizeRows(dst, src *Image, y0, y1 int) {
 	}
 }
 
-// Pyramid returns successively downscaled copies of m. Each level is
-// smaller by factor (e.g. 1.1), and generation stops when a level would
-// be smaller than minW×minH or after maxLevels levels (maxLevels <= 0
-// means unlimited). Level 0 is m itself (not copied).
-func Pyramid(m *Image, factor float64, minW, minH, maxLevels int) []*Image {
+// Size is an image's width and height in pixels.
+type Size struct{ W, H int }
+
+// PyramidSizes returns the level dimensions of the scale pyramid of a
+// w×h image, as Pyramid builds it: level 0 is w×h, and level i is w×h
+// divided by factor^i (a running product) and rounded. Generation
+// stops when a level would be empty or smaller than minW×minH, or
+// after maxLevels levels (maxLevels <= 0 means unlimited).
+func PyramidSizes(w, h int, factor float64, minW, minH, maxLevels int) []Size {
 	if factor <= 1 {
 		//lint:allow errpanic a non-shrinking pyramid factor would loop forever; caller bug, not input data
 		panic("imgproc: pyramid factor must be > 1")
 	}
-	levels := []*Image{m}
+	sizes := []Size{{w, h}}
 	scale := 1.0
-	for {
-		if maxLevels > 0 && len(levels) >= maxLevels {
-			break
-		}
+	for maxLevels <= 0 || len(sizes) < maxLevels {
 		scale *= factor
-		w := int(math.Round(float64(m.W) / scale))
-		h := int(math.Round(float64(m.H) / scale))
-		if w < minW || h < minH {
+		lw := int(math.Round(float64(w) / scale))
+		lh := int(math.Round(float64(h) / scale))
+		if lw < max(minW, 1) || lh < max(minH, 1) {
 			break
 		}
-		levels = append(levels, Resize(m, w, h))
+		sizes = append(sizes, Size{lw, lh})
+	}
+	return sizes
+}
+
+// Pyramid returns successively downscaled copies of m, one per level
+// of PyramidSizes(m.W, m.H, factor, minW, minH, maxLevels), each
+// resized from m itself. Level 0 is m itself (not copied).
+func Pyramid(m *Image, factor float64, minW, minH, maxLevels int) []*Image {
+	sizes := PyramidSizes(m.W, m.H, factor, minW, minH, maxLevels)
+	levels := make([]*Image, len(sizes))
+	levels[0] = m
+	for i := 1; i < len(sizes); i++ {
+		levels[i] = Resize(m, sizes[i].W, sizes[i].H)
 	}
 	return levels
 }

@@ -3,6 +3,7 @@ package imgproc
 import (
 	"bytes"
 	"math"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -187,6 +188,50 @@ func TestPyramidLevels(t *testing.T) {
 	if len(capped) != 3 {
 		t.Errorf("maxLevels=3 -> %d levels", len(capped))
 	}
+
+	// PyramidSizes is the level geometry: it must match the running-
+	// product sizes of the original level loop, and Pyramid's images.
+	for _, factor := range []float64{1.05, 1.1, 1.3, 2} {
+		for _, min := range [][2]int{{1, 1}, {64, 128}, {64, 32}, {300, 1}} {
+			for _, maxLevels := range []int{0, 1, 2, 5} {
+				for _, dim := range [][2]int{{220, 110}, {640, 480}, {64, 128}, {7, 3}} {
+					var want []Size
+					scale := 1.0
+					for w, h := dim[0], dim[1]; ; {
+						want = append(want, Size{w, h})
+						if maxLevels > 0 && len(want) >= maxLevels {
+							break
+						}
+						scale *= factor
+						w = int(math.Round(float64(dim[0]) / scale))
+						h = int(math.Round(float64(dim[1]) / scale))
+						if w < min[0] || h < min[1] {
+							break
+						}
+					}
+					got := PyramidSizes(dim[0], dim[1], factor, min[0], min[1], maxLevels)
+					if min == [2]int{1, 1} {
+						// A zero minimum stops at the last non-empty level
+						// instead of appending empty levels forever.
+						if z := PyramidSizes(dim[0], dim[1], factor, 0, 0, maxLevels); !reflect.DeepEqual(z, got) {
+							t.Fatalf("factor %v max %d dim %v: zero minimum gave %v, want %v", factor, maxLevels, dim, z, got)
+						}
+					}
+					lv := Pyramid(New(dim[0], dim[1]), factor, min[0], min[1], maxLevels)
+					if len(got) != len(want) || len(lv) != len(want) {
+						t.Fatalf("factor %v min %v max %d dim %v: %d sizes, %d levels, want %d",
+							factor, min, maxLevels, dim, len(got), len(lv), len(want))
+					}
+					for i := range want {
+						if got[i] != want[i] || lv[i].W != want[i].W || lv[i].H != want[i].H {
+							t.Fatalf("factor %v min %v max %d dim %v level %d: size %v, image %dx%d, want %v",
+								factor, min, maxLevels, dim, i, got[i], lv[i].W, lv[i].H, want[i])
+						}
+					}
+				}
+			}
+		}
+	}
 }
 
 func TestPyramidBadFactorPanics(t *testing.T) {
@@ -284,10 +329,16 @@ func TestReadPGMWithComments(t *testing.T) {
 
 func TestReadPGMErrors(t *testing.T) {
 	cases := []string{
-		"P2\n2 1\n255\n00",        // ascii PGM unsupported
+		"P2\n2 1\n255\n00",         // ascii PGM unsupported
 		"P5\n2 1\n65535\n\x00\x00", // 16-bit unsupported
-		"P5\n2 1\n255\n\x00",      // short data
-		"P5\nx 1\n255\n\x00\x00",  // bad token
+		"P5\n2 1\n255\n\x00",       // short data
+		"P5\nx 1\n255\n\x00\x00",   // bad token
+		// A header claiming 10^10 pixels with no data: must fail on the
+		// short read, not allocate for the claimed size first.
+		"P5\n100000 100000 255\n",
+		"P5\n2 1\n100\n\x00\xff",                          // sample above maxval
+		"P5\n4611686018427387904 4 255\n\x00",             // W*H overflows int
+		"P5\n9223372036854775807 9223372036854775807 1\n", // W*H overflows int
 	}
 	for _, c := range cases {
 		if _, err := ReadPGM(bytes.NewReader([]byte(c))); err == nil {

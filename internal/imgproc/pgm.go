@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 )
 
@@ -33,6 +34,9 @@ func WritePGM(w io.Writer, m *Image) error {
 }
 
 // ReadPGM decodes a binary (P5) PGM into an Image with pixels in [0,1].
+// The pixel slice grows as samples arrive, so a header that claims more
+// pixels than the input holds fails on the short data without first
+// allocating for them. Samples above the header's maxval are rejected.
 func ReadPGM(r io.Reader) (*Image, error) {
 	br := bufio.NewReader(r)
 	magic, err := pgmToken(br)
@@ -58,17 +62,25 @@ func ReadPGM(r io.Reader) (*Image, error) {
 	if maxv > 255 {
 		return nil, fmt.Errorf("imgproc: unsupported PGM maxval %d", maxv)
 	}
-	m := New(w, h)
-	buf := make([]byte, w)
-	for y := 0; y < h; y++ {
-		if _, err := io.ReadFull(br, buf); err != nil {
+	if h > math.MaxInt/w {
+		return nil, fmt.Errorf("imgproc: PGM dimensions %dx%d overflow", w, h)
+	}
+	n := w * h
+	var chunk [4096]byte
+	pix := make([]float64, 0, min(n, len(chunk)))
+	for len(pix) < n {
+		k := min(n-len(pix), len(chunk))
+		if _, err := io.ReadFull(br, chunk[:k]); err != nil {
 			return nil, fmt.Errorf("imgproc: short PGM data: %w", err)
 		}
-		for x := 0; x < w; x++ {
-			m.Pix[y*w+x] = float64(buf[x]) / float64(maxv)
+		for _, b := range chunk[:k] {
+			if int(b) > maxv {
+				return nil, fmt.Errorf("imgproc: PGM sample %d above maxval %d", b, maxv)
+			}
+			pix = append(pix, float64(b)/float64(maxv))
 		}
 	}
-	return m, nil
+	return &Image{W: w, H: h, Pix: pix}, nil
 }
 
 // pgmToken reads the next whitespace-delimited token, skipping '#'
