@@ -4,11 +4,11 @@
 
 GO ?= go
 
-.PHONY: build test check vet race lint perfbench-check perfbench-layout bench bench-obs bench-sim bench-detect bench-gate fuzz clean
+.PHONY: build test check fmt vet race lint perfbench-check perfbench-layout bench bench-obs bench-sim bench-detect bench-gate fuzz clean
 
 # FUZZTIME bounds each fuzz target's smoke run (the committed seed
-# corpora under internal/{truenorth,eedn,imgproc}/testdata/fuzz always run as
-# plain tests; this is extra mutation time).
+# corpora under internal/{truenorth,eedn,imgproc,hog}/testdata/fuzz always
+# run as plain tests; this is extra mutation time).
 FUZZTIME ?= 15s
 
 build:
@@ -19,6 +19,15 @@ test:
 
 vet:
 	$(GO) vet ./...
+
+# fmt fails when gofmt would reformat any tracked .go file. Files under
+# testdata/ are fixtures whose line numbers golden files pin (the
+# directives fixture is deliberately not gofmt-clean), so they are left
+# out.
+GOFMT ?= gofmt
+fmt:
+	@out=$$(git ls-files '*.go' | grep -v -e '^testdata/' -e '/testdata/' | xargs $(GOFMT) -l); \
+	if [ -n "$$out" ]; then echo "gofmt -l reports unformatted files:"; echo "$$out"; exit 1; fi
 
 # race runs the whole tree under the race detector; the
 # concurrency-sensitive packages (telemetry registry, simulator,
@@ -38,7 +47,7 @@ lint:
 	$(GO) run ./cmd/pcnn-lint -budget lint_budget.json
 	$(GO) run ./cmd/pcnn-lint -model builtin
 
-check: build vet lint test race
+check: fmt build vet lint test race
 
 # perfbench-check vets and self-tests the repository benchmark. It is
 # a Go module of its own (replace repro => ../), so go vet ./... and
@@ -48,12 +57,14 @@ perfbench-check:
 	cd perfbench && $(GO) vet . && $(GO) test .
 
 # perfbench-layout builds the benchmark binary exactly as
-# perfbench/run.sh does and prints where the linker placed the two
-# loops whose speed depends on their 64-byte alignment (ROADMAP item
-# 1): address and address mod 64 of eedn.(*Dense).preact and
-# svm.(*Model).Score, then a SHA-256 of the binary's sorted text-symbol
-# table. Two trees that print the same lines link the benchmark's code
-# identically, so a benchmark difference between them is not placement.
+# perfbench/run.sh does and prints where the linker placed the hot
+# loops whose speed may depend on their 64-byte alignment (ROADMAP item
+# 1): address and address mod 64 of eedn.(*Dense).preact,
+# svm.(*Model).Score and the block-plane SVM kernel
+# hog.(*Extractor).LinearScoresInto, then a SHA-256 of the binary's
+# sorted text-symbol table. Two trees that print the same lines link the
+# benchmark's code identically, so a benchmark difference between them
+# is not placement.
 BENCH_BUILD = $(CURDIR)/.bench_build
 perfbench-layout:
 	@mkdir -p $(BENCH_BUILD)/gocache $(BENCH_BUILD)/gopath $(BENCH_BUILD)/tmp
@@ -61,7 +72,8 @@ perfbench-layout:
 		GOTMPDIR=$(BENCH_BUILD)/tmp GOENV=off GOPROXY=off GOFLAGS= GOWORK=off \
 		GOTOOLCHAIN=local $(GO) build -o $(BENCH_BUILD)/perfbench .
 	@$(GO) tool nm $(BENCH_BUILD)/perfbench | \
-		awk '$$3 == "repro/internal/eedn.(*Dense).preact" || $$3 == "repro/internal/svm.(*Model).Score" { print $$1, $$3 }' | \
+		awk '$$3 == "repro/internal/eedn.(*Dense).preact" || $$3 == "repro/internal/svm.(*Model).Score" || \
+			$$3 == "repro/internal/hog.(*Extractor).LinearScoresInto" { print $$1, $$3 }' | \
 		while read addr sym; do echo "$$sym 0x$$addr mod64=$$((0x$$addr % 64))"; done
 	@$(GO) tool nm $(BENCH_BUILD)/perfbench | awk '$$2 == "T" || $$2 == "t"' | sort | sha256sum | \
 		awk '{ print "text-symbols sha256 " $$1 }'
@@ -89,13 +101,13 @@ bench-sim:
 # bench-detect runs the detection-engine benchmarks (single image and
 # batch at workers 1/4/NumCPU, the 0-alloc inner scan loop, the
 # temporal sequence engine on static/5%-motion/full-motion mixes, and
-# the per-paradigm GridInto/DescriptorInto kernel microbenchmarks) and
-# writes the telemetry snapshot — detect.workers, detect.level_ms,
-# detect.worker_utilization, windows/s, detect.seq.*.frames_per_sec,
-# detect.reuse_ratio — to BENCH_detect.json.
+# the per-paradigm GridInto/DescriptorInto/LinearScoresInto kernel
+# microbenchmarks) and writes the telemetry snapshot — detect.workers,
+# detect.level_ms, detect.worker_utilization, windows/s,
+# detect.seq.*.frames_per_sec, detect.reuse_ratio — to BENCH_detect.json.
 # $(CURDIR) pins the path because go test runs in the package dir.
 bench-detect:
-	BENCH_DETECT_OUT=$(CURDIR)/BENCH_detect.json $(GO) test ./internal/detect -bench 'BenchmarkDetect(Image|All|ScanInner|Sequence)|BenchmarkGridInto|BenchmarkDescriptorInto' -benchmem -run '^$$'
+	BENCH_DETECT_OUT=$(CURDIR)/BENCH_detect.json $(GO) test ./internal/detect -bench 'BenchmarkDetect(Image|All|ScanInner|Sequence)|BenchmarkGridInto|BenchmarkDescriptorInto|BenchmarkLinearScores' -benchmem -run '^$$'
 
 # bench-gate is the regression sentinel: short (-benchtime=1x) runs of
 # the detection and simulator benchmarks write fresh telemetry
@@ -107,7 +119,7 @@ bench-detect:
 # BENCH_SLACK=1 locally for a tight pass.
 BENCH_SLACK ?= 4
 bench-gate:
-	BENCH_DETECT_OUT=/tmp/pcnn-bench-detect.json $(GO) test ./internal/detect -bench 'BenchmarkDetect(Image|All|ScanInner|Sequence)|BenchmarkGridInto|BenchmarkDescriptorInto' -benchtime=1x -benchmem -run '^$$'
+	BENCH_DETECT_OUT=/tmp/pcnn-bench-detect.json $(GO) test ./internal/detect -bench 'BenchmarkDetect(Image|All|ScanInner|Sequence)|BenchmarkGridInto|BenchmarkDescriptorInto|BenchmarkLinearScores' -benchtime=1x -benchmem -run '^$$'
 	BENCH_SIM_OUT=/tmp/pcnn-bench-sim.json $(GO) test -bench 'BenchmarkStep(Dense|Sparse|Sharded)|BenchmarkMultiChipShardSweep|BenchmarkRunNApprox' -benchtime=1x -benchmem -run '^$$' .
 	$(GO) run ./cmd/pcnn-bench -slack $(BENCH_SLACK) \
 		-baseline BENCH_detect.json -fresh /tmp/pcnn-bench-detect.json \
@@ -122,6 +134,7 @@ fuzz:
 	$(GO) test ./internal/eedn -run '^$$' -fuzz '^FuzzDenseTrinary$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/eedn -run '^$$' -fuzz '^FuzzLoad$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/imgproc -run '^$$' -fuzz '^FuzzReadPGM$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/hog -run '^$$' -fuzz '^FuzzLinearScores$$' -fuzztime $(FUZZTIME)
 
 clean:
 	rm -f BENCH_obs.json BENCH_sim.json BENCH_detect.json

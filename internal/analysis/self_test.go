@@ -67,9 +67,9 @@ func TestLoadProgramSelf(t *testing.T) {
 }
 
 // TestCallGraphSelf checks the resolved edges the hotalloc proof rests
-// on: the interface call in scanGrid fans out to every DescriptorInto
-// implementation (CHA), and Step's call to the unexported fire method
-// resolves statically.
+// on: the interface calls in the detection row scorer fan out to every
+// DescriptorInto and every LinearScoresInto implementation (CHA), and
+// Step's call to the unexported fire method resolves statically.
 func TestCallGraphSelf(t *testing.T) {
 	g := selfProgram(t).CallGraph()
 
@@ -84,14 +84,14 @@ func TestCallGraphSelf(t *testing.T) {
 		return nil
 	}
 
-	scan := findNode("(*detect.Detector).scanGrid")
+	scan := findNode("(*detect.Detector).scoreRun")
 	var descCallees []string
 	for _, site := range scan.Calls {
 		if !site.Dynamic {
 			continue
 		}
 		for _, c := range site.Callees {
-			if c.Obj.Name() == "DescriptorInto" {
+			if name := c.Obj.Name(); name == "DescriptorInto" || name == "LinearScoresInto" {
 				descCallees = append(descCallees, funcDisplayName(c.Obj))
 			}
 		}
@@ -99,12 +99,16 @@ func TestCallGraphSelf(t *testing.T) {
 	sort.Strings(descCallees)
 	want := []string{
 		"(*hog.Extractor).DescriptorInto",
+		"(*hog.Extractor).LinearScoresInto",
 		"(*hog.FPGAExtractor).DescriptorInto",
+		"(*hog.FPGAExtractor).LinearScoresInto",
 		"(*napprox.Extractor).DescriptorInto",
+		"(*napprox.Extractor).LinearScoresInto",
 		"(*parrot.Extractor).DescriptorInto",
+		"(*parrot.Extractor).LinearScoresInto",
 	}
 	if strings.Join(descCallees, ",") != strings.Join(want, ",") {
-		t.Errorf("scanGrid DescriptorInto fan-out = %v, want %v", descCallees, want)
+		t.Errorf("scoreRun extractor fan-out = %v, want %v", descCallees, want)
 	}
 
 	step := findNode("(*truenorth.Simulator).Step")

@@ -22,20 +22,27 @@ import (
 
 // Extractor is the split between feature extraction and
 // classification: GridInto fills a reusable flat grid with the cell
-// histograms of an image (and the block plane derived from them), and
+// histograms of an image (and the block plane derived from them),
 // DescriptorInto appends the descriptor of the window whose top-left
-// cell is (cellX, cellY) to a caller-owned scratch buffer. hog.Extractor,
-// hog.FPGAExtractor, napprox.Extractor and parrot.Extractor satisfy it.
-// GridInto is called concurrently on distinct grids (level workers in
-// Detect and Sequence, image workers in DetectStream), and
-// DescriptorInto must be safe for concurrent callers holding distinct
-// dst buffers over one shared read-only grid. parrot.Extractor with
-// Stochastic coding draws from one shared Rng, so it is the exception:
-// drive it with Workers <= 1 (only experiments.Fig6 builds one, and
-// only for parrot.ClassAccuracy).
+// cell is (cellX, cellY) to a caller-owned scratch buffer, and
+// LinearScoresInto appends the linear scores b + w·x of the n windows
+// at (cellX+j*step, cellY) straight from the block plane, each
+// bit-identical to svm.Model.Score of that window's descriptor.
+// hog.Extractor, hog.FPGAExtractor, napprox.Extractor and
+// parrot.Extractor satisfy it. GridInto is called concurrently on
+// distinct grids (level workers in Detect and Sequence, image workers
+// in DetectStream), and DescriptorInto and LinearScoresInto must be
+// safe for concurrent callers holding distinct dst buffers over one
+// shared read-only grid. The scan calls LinearScoresInto only when the
+// Scorer is an *svm.Model; every other Scorer gets DescriptorInto
+// descriptors window by window. parrot.Extractor with Stochastic coding
+// draws from one shared Rng, so it is the exception: drive it with
+// Workers <= 1 (only experiments.Fig6 builds one, and only for
+// parrot.ClassAccuracy).
 type Extractor interface {
 	GridInto(g *hog.Grid, img *imgproc.Image)
 	DescriptorInto(dst []float64, g *hog.Grid, cellX, cellY int) ([]float64, error)
+	LinearScoresInto(dst []float64, g *hog.Grid, cellX, cellY, step, n int, w []float64, b float64) ([]float64, error)
 }
 
 // Scorer maps a window descriptor to a detection score; svm.Model and

@@ -99,3 +99,41 @@ func BenchmarkDescriptorInto(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkLinearScores measures the block-plane SVM kernel over a warm
+// prepared grid: every window of the level BenchmarkDescriptorInto
+// sweeps, one LinearScoresInto call per window row, scores appended
+// into a reused buffer. Each score equals svm.Model.Score of the
+// window's descriptor, so against BenchmarkDescriptorInto (plus Score)
+// this is the saving of the row scorer's kernel path.
+func BenchmarkLinearScores(b *testing.B) {
+	img := dataset.NewGenerator(9).NegativeImage(160, 160)
+	for _, name := range []string{"hog", "fpga", "napprox", "parrot"} {
+		ext := benchExtractors(b)[name]
+		b.Run(name, func(b *testing.B) {
+			var g hog.Grid
+			ext.GridInto(&g, img)
+			desc, err := ext.DescriptorInto(nil, &g, 0, 0)
+			if err != nil {
+				b.Fatal(err)
+			}
+			m := newSVMScorer(3, len(desc))
+			const cellsX, cellsY = 8, 16 // 64x128 window in 8px cells
+			n := windowsAcross(g.CellsX, cellsX, 1)
+			scores, err := ext.LinearScoresInto(nil, &g, 0, 0, 1, n, m.W, m.B) // warm
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for gy := 0; gy+cellsY <= g.CellsY; gy++ {
+					scores, err = ext.LinearScoresInto(scores[:0], &g, 0, gy, 1, n, m.W, m.B)
+					if err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+		})
+	}
+}

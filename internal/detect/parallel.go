@@ -29,10 +29,17 @@
 // saturates a worker. Images are claimed off an atomic counter; results
 // are keyed by index, so output order is deterministic there too.
 //
+// Both engines score windows through one row scorer, scoreRun, over a
+// run of windows along one row: a whole row in Detect, a whole row or
+// each dirty stretch of one in Sequence. With an *svm.Model scorer it
+// takes the run's scores straight off the block plane, four windows
+// per pass (Extractor.LinearScoresInto); any other scorer gets each
+// window's DescriptorInto descriptor.
+//
 // The steady-state inner window loop performs no allocations: level
-// images and grids are reused per worker, descriptors are appended into
-// per-worker scratch buffers via DescriptorInto, and detection slices
-// are recycled across levels and images.
+// images and grids are reused per worker, scores and descriptors are
+// appended into per-worker scratch buffers, and detection slices are
+// recycled across levels and images.
 package detect
 
 import (
@@ -47,6 +54,7 @@ import (
 	"repro/internal/hog"
 	"repro/internal/imgproc"
 	"repro/internal/obs"
+	"repro/internal/svm"
 )
 
 // effectiveWorkers resolves Config.Workers to the pool size actually
@@ -66,6 +74,7 @@ func (c Config) effectiveWorkers() int {
 // levels, images and frames so the steady-state scan allocates nothing.
 type workerScratch struct {
 	desc    []float64 // descriptor append buffer
+	scores  []float64 // LinearScoresInto append buffer
 	windows uint64    // windows scanned this image
 	errs    uint64    // windows dropped this image (descriptor errors)
 	busy    time.Duration
@@ -327,33 +336,78 @@ func (st *scanState) runLevel(sc *workerScratch, li int) {
 //pcnn:hotpath
 func (d *Detector) scanGrid(sc *workerScratch, g *hog.Grid, scale float64, dst []Detection) []Detection {
 	cfg := d.Config
-	winW := cfg.WindowCellsX * cfg.CellSize
-	winH := cfg.WindowCellsY * cfg.CellSize
+	n := windowsAcross(g.CellsX, cfg.WindowCellsX, cfg.StrideCells)
 	for gy := 0; gy+cfg.WindowCellsY <= g.CellsY; gy += cfg.StrideCells {
-		for gx := 0; gx+cfg.WindowCellsX <= g.CellsX; gx += cfg.StrideCells {
-			sc.windows++
-			desc, err := d.Extractor.DescriptorInto(sc.desc[:0], g, gx, gy)
-			if err != nil {
-				sc.errs++
-				continue
-			}
-			sc.desc = desc
-			s := d.Scorer.Score(desc)
-			if s < cfg.Threshold {
-				continue
-			}
-			dst = append(dst, Detection{
-				Box: dataset.Box{
-					X: int(float64(gx*cfg.CellSize) * scale),
-					Y: int(float64(gy*cfg.CellSize) * scale),
-					W: int(float64(winW) * scale),
-					H: int(float64(winH) * scale),
-				},
-				Score: s,
-			})
-		}
+		dst = d.scoreRun(sc, g, 0, gy, n, scale, dst)
 	}
 	return dst
+}
+
+// windowsAcross returns how many windows of win cells fit across cells
+// cells at stride stride.
+func windowsAcross(cells, win, stride int) int {
+	if cells < win {
+		return 0
+	}
+	return (cells-win)/stride + 1
+}
+
+// scoreRun is the row scorer of both engines: it scores the n windows
+// of g with top-left cells (gx0+j*StrideCells, gy), j = 0..n-1, and
+// appends the above-threshold ones to dst in column order; scale maps
+// level to image coordinates. An *svm.Model scorer takes the kernel
+// path: the run's scores come from LinearScoresInto, bit-identical to
+// Score of each descriptor. Any other scorer, or a kernel error, takes
+// the per-window path: DescriptorInto then Score per window, counting
+// failed descriptors in sc.errs. Everything it writes is
+// worker-private, and it allocates nothing once sc's and dst's buffers
+// are warm.
+//
+//pcnn:hotpath
+func (d *Detector) scoreRun(sc *workerScratch, g *hog.Grid, gx0, gy, n int, scale float64, dst []Detection) []Detection {
+	cfg := d.Config
+	stride := cfg.StrideCells
+	sc.windows += uint64(n)
+	if m, ok := d.Scorer.(*svm.Model); ok {
+		scores, err := d.Extractor.LinearScoresInto(sc.scores[:0], g, gx0, gy, stride, n, m.W, m.B)
+		if err == nil {
+			sc.scores = scores
+			for j, s := range scores {
+				if s < cfg.Threshold {
+					continue
+				}
+				dst = append(dst, Detection{Box: d.windowBox(gx0+j*stride, gy, scale), Score: s})
+			}
+			return dst
+		}
+	}
+	for j := 0; j < n; j++ {
+		gx := gx0 + j*stride
+		desc, err := d.Extractor.DescriptorInto(sc.desc[:0], g, gx, gy)
+		if err != nil {
+			sc.errs++
+			continue
+		}
+		sc.desc = desc
+		s := d.Scorer.Score(desc)
+		if s < cfg.Threshold {
+			continue
+		}
+		dst = append(dst, Detection{Box: d.windowBox(gx, gy, scale), Score: s})
+	}
+	return dst
+}
+
+// windowBox maps the window at level cell (gx, gy) to image
+// coordinates.
+func (d *Detector) windowBox(gx, gy int, scale float64) dataset.Box {
+	cfg := d.Config
+	return dataset.Box{
+		X: int(float64(gx*cfg.CellSize) * scale),
+		Y: int(float64(gy*cfg.CellSize) * scale),
+		W: int(float64(cfg.WindowCellsX*cfg.CellSize) * scale),
+		H: int(float64(cfg.WindowCellsY*cfg.CellSize) * scale),
+	}
 }
 
 // DetectStream runs the full Detect pipeline (scan + NMS) over n

@@ -12,6 +12,7 @@ import (
 	"repro/internal/hog"
 	"repro/internal/imgproc"
 	"repro/internal/obs"
+	"repro/internal/svm"
 )
 
 // withProcs raises GOMAXPROCS to at least n for the test, so the band
@@ -59,10 +60,35 @@ func (s linScorer) Score(x []float64) float64 {
 	return v
 }
 
+// testScorers names the two scorer kinds the differential suites run
+// with: "lin", a linScorer, which the scan scores window by window
+// through DescriptorInto, and "svm", an *svm.Model, which it scores
+// four windows per pass through Extractor.LinearScoresInto.
+var testScorers = []string{"lin", "svm"}
+
+// newTestScorer returns a scorer of the named kind over n weights.
+func newTestScorer(kind string, seed int64, n int) Scorer {
+	if kind == "svm" {
+		return newSVMScorer(seed, n)
+	}
+	return newLinScorer(seed, n)
+}
+
+// newSVMScorer returns a linear SVM with n pseudo-random weights and a
+// nonzero bias.
+func newSVMScorer(seed int64, n int) *svm.Model {
+	rng := rand.New(rand.NewSource(seed))
+	w := make([]float64, n)
+	for i := range w {
+		w[i] = rng.NormFloat64()
+	}
+	return &svm.Model{W: w, B: -0.3125}
+}
+
 // legacyDetectRaw is the pre-parallel sequential scan (a fresh grid
-// per level, one GridInto, then DescriptorInto into a fresh slice per
-// window), kept as the differential reference the engine must match
-// bit-for-bit.
+// per level, one GridInto, then DescriptorInto into a fresh slice and
+// Score per window, whatever the scorer), kept as the differential
+// reference the engine must match bit-for-bit.
 func legacyDetectRaw(d *Detector, img *imgproc.Image) []Detection {
 	cfg := d.Config
 	winW := cfg.WindowCellsX * cfg.CellSize
@@ -101,11 +127,18 @@ func legacyDetectRaw(d *Detector, img *imgproc.Image) []Detection {
 // testDetector builds a HoG detector with the cheap linear scorer.
 func testDetector(t testing.TB, cfg Config) *Detector {
 	t.Helper()
+	return scoredDetector(t, cfg, "lin")
+}
+
+// scoredDetector builds a HoG detector with a testScorers scorer sized
+// to the descriptor.
+func scoredDetector(t testing.TB, cfg Config, kind string) *Detector {
+	t.Helper()
 	ext, err := hog.NewExtractor(hog.Reference())
 	if err != nil {
 		t.Fatal(err)
 	}
-	det, err := NewDetector(ext, newLinScorer(3, ext.Config().DescriptorLen()), cfg)
+	det, err := NewDetector(ext, newTestScorer(kind, 3, ext.Config().DescriptorLen()), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +157,8 @@ func testImages(w, h int) []*imgproc.Image {
 // engine's output must be byte-identical to the legacy sequential scan
 // across worker counts, strides, and pyramid depths — including more
 // workers than levels (a one-level 64x128 frame, depths 1 and 2 at 8
-// workers).
+// workers) — for both scorer kinds: the per-window path and the
+// LinearScoresInto kernel path.
 func TestDetectWorkersBitIdentical(t *testing.T) {
 	withProcs(t, 8)
 	imgs := append(testImages(224, 192), dataset.NewGenerator(42).NegativeImage(64, 128))
@@ -134,27 +168,29 @@ func TestDetectWorkersBitIdentical(t *testing.T) {
 		strides = []int{1}
 		depths = []int{2}
 	}
-	for _, stride := range strides {
-		for _, depth := range depths {
-			cfg := DefaultConfig()
-			cfg.StrideCells = stride
-			cfg.MaxLevels = depth
-			cfg.Threshold = -1e18 // keep every window: maximal merge surface
-			det := testDetector(t, cfg)
-			for i, img := range imgs {
-				want := legacyDetectRaw(det, img)
-				for _, workers := range []int{1, 2, 3, 8} {
-					det.Config.Workers = workers
-					got := det.DetectRaw(img)
-					if !reflect.DeepEqual(got, want) {
-						t.Fatalf("stride %d depth %d img %d workers %d: raw scan diverges (%d vs %d dets)",
-							stride, depth, i, workers, len(got), len(want))
-					}
-					kept := det.Detect(img)
-					wantKept := NMS(want, cfg.NMSEpsilon)
-					if !reflect.DeepEqual(kept, wantKept) {
-						t.Fatalf("stride %d depth %d img %d workers %d: NMS output diverges",
-							stride, depth, i, workers)
+	for _, kind := range testScorers {
+		for _, stride := range strides {
+			for _, depth := range depths {
+				cfg := DefaultConfig()
+				cfg.StrideCells = stride
+				cfg.MaxLevels = depth
+				cfg.Threshold = -1e18 // keep every window: maximal merge surface
+				det := scoredDetector(t, cfg, kind)
+				for i, img := range imgs {
+					want := legacyDetectRaw(det, img)
+					for _, workers := range []int{1, 2, 3, 8} {
+						det.Config.Workers = workers
+						got := det.DetectRaw(img)
+						if !reflect.DeepEqual(got, want) {
+							t.Fatalf("%s stride %d depth %d img %d workers %d: raw scan diverges (%d vs %d dets)",
+								kind, stride, depth, i, workers, len(got), len(want))
+						}
+						kept := det.Detect(img)
+						wantKept := NMS(want, cfg.NMSEpsilon)
+						if !reflect.DeepEqual(kept, wantKept) {
+							t.Fatalf("%s stride %d depth %d img %d workers %d: NMS output diverges",
+								kind, stride, depth, i, workers)
+						}
 					}
 				}
 			}
@@ -193,21 +229,37 @@ func TestDetectAllMatchesDetect(t *testing.T) {
 
 // TestDetectParallelShort is the always-on race-lane smoke test: a
 // quick multi-worker scan plus batch so `go test -short -race`
-// exercises the band scheduler and the image pool.
+// exercises the level-claim schedule with all four workers started
+// (runLevels starts min(workers, levels) of them, so the frame has four
+// pyramid levels), both row-scorer paths and the image pool.
 func TestDetectParallelShort(t *testing.T) {
 	withProcs(t, 4)
 	cfg := DefaultConfig()
-	cfg.MaxLevels = 1
+	cfg.MaxLevels = 0
 	cfg.Threshold = -1e18
 	cfg.Workers = 4
-	det := testDetector(t, cfg)
-	imgs := testImages(160, 144)
-	want := legacyDetectRaw(det, imgs[0])
-	if got := det.DetectRaw(imgs[0]); !reflect.DeepEqual(got, want) {
-		t.Fatal("parallel scan diverges from sequential reference")
+	imgs := testImages(160, 176)
+	requireLevels(t, cfg, imgs[0], cfg.Workers)
+	for _, kind := range testScorers {
+		det := scoredDetector(t, cfg, kind)
+		want := legacyDetectRaw(det, imgs[0])
+		if got := det.DetectRaw(imgs[0]); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: parallel scan diverges from sequential reference", kind)
+		}
+		if got := det.DetectAll(imgs); len(got) != len(imgs) {
+			t.Fatalf("%s: DetectAll returned %d results, want %d", kind, len(got), len(imgs))
+		}
 	}
-	if got := det.DetectAll(imgs); len(got) != len(imgs) {
-		t.Fatalf("DetectAll returned %d results, want %d", len(got), len(imgs))
+}
+
+// requireLevels fails the test unless img has at least n pyramid
+// levels under cfg, so a multi-worker test cannot quietly run on the
+// caller alone.
+func requireLevels(t *testing.T, cfg Config, img *imgproc.Image, n int) {
+	t.Helper()
+	winW, winH := cfg.WindowCellsX*cfg.CellSize, cfg.WindowCellsY*cfg.CellSize
+	if got := len(imgproc.PyramidSizes(img.W, img.H, cfg.ScaleFactor, winW, winH, cfg.MaxLevels)); got < n {
+		t.Fatalf("%dx%d frame has %d pyramid levels, want at least %d", img.W, img.H, got, n)
 	}
 }
 
@@ -325,24 +377,26 @@ func TestWorkerUtilizationHistogram(t *testing.T) {
 
 // TestDetectSteadyStateAllocs pins the 0-alloc inner window loop: once
 // scratch buffers are warm, scanning every window of a level allocates
-// nothing (descriptors append into per-worker scratch, detections into
-// recycled slices).
+// nothing (scores and descriptors append into per-worker scratch,
+// detections into recycled slices), on both row-scorer paths.
 func TestDetectSteadyStateAllocs(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Threshold = -1e18 // every window appends a detection
-	det := testDetector(t, cfg)
 	img := dataset.NewGenerator(9).NegativeImage(160, 160)
-	sc := &workerScratch{}
-	det.Extractor.GridInto(&sc.grid, img)
-	if sc.grid.CellsY < cfg.WindowCellsY || sc.grid.CellsX < cfg.WindowCellsX {
-		t.Fatal("test image too small")
-	}
-	dets := det.scanGrid(sc, &sc.grid, 1, nil) // warm buffers
-	allocs := testing.AllocsPerRun(10, func() {
-		dets = det.scanGrid(sc, &sc.grid, 1, dets[:0])
-	})
-	if allocs != 0 {
-		t.Fatalf("steady-state scan allocates %.1f/op, want 0", allocs)
+	for _, kind := range testScorers {
+		det := scoredDetector(t, cfg, kind)
+		sc := &workerScratch{}
+		det.Extractor.GridInto(&sc.grid, img)
+		if sc.grid.CellsY < cfg.WindowCellsY || sc.grid.CellsX < cfg.WindowCellsX {
+			t.Fatal("test image too small")
+		}
+		dets := det.scanGrid(sc, &sc.grid, 1, nil) // warm buffers
+		allocs := testing.AllocsPerRun(10, func() {
+			dets = det.scanGrid(sc, &sc.grid, 1, dets[:0])
+		})
+		if allocs != 0 {
+			t.Fatalf("%s: steady-state scan allocates %.1f/op, want 0", kind, allocs)
+		}
 	}
 }
 

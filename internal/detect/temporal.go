@@ -119,7 +119,6 @@ type Sequence struct {
 	raw []Detection // this frame's merged raw candidates, scan order
 	out []Detection // NMS output returned to the caller
 
-	winW, winH   int
 	totalWindows uint64
 	bx0, bx1     int // base-frame changed pixel-column extent
 
@@ -242,12 +241,11 @@ func (s *Sequence) NextPanned(img *imgproc.Image, panX, panY int) []Detection {
 // identically.
 func (s *Sequence) init(w, h int) {
 	cfg := s.d.Config
-	s.winW = cfg.WindowCellsX * cfg.CellSize
-	s.winH = cfg.WindowCellsY * cfg.CellSize
+	winW, winH := cfg.WindowCellsX*cfg.CellSize, cfg.WindowCellsY*cfg.CellSize
 	s.lv = s.lv[:0]
 	s.primed = false
 	s.totalWindows = 0
-	for li, sz := range imgproc.PyramidSizes(w, h, cfg.ScaleFactor, s.winW, s.winH, cfg.MaxLevels) {
+	for li, sz := range imgproc.PyramidSizes(w, h, cfg.ScaleFactor, winW, winH, cfg.MaxLevels) {
 		lw, lh := sz.W, sz.H
 		lv := &seqLevel{w: lw, h: lh, scale: math.Pow(cfg.ScaleFactor, float64(li))}
 		lv.img = imgproc.New(lw, lh)
@@ -780,9 +778,10 @@ func (s *Sequence) scanLevel(sc *workerScratch, lv *seqLevel) {
 }
 
 // scanSeqRow appends window row r's detections to dst in column order:
-// a full row rescans every window; a mixed row rescans only windows
-// overlapping the dirty cell-column ranges and merges the rest from
-// the previous frame's cache by source box position. The loop is
+// a full row is one run for the row scorer (scoreRun); a mixed row
+// hands it each stretch of windows overlapping the dirty cell-column
+// ranges and merges the windows between the stretches from the
+// previous frame's cache by source box position. The loop is
 // allocation-free once sc's and dst's buffers are warm.
 //
 //pcnn:hotpath
@@ -790,61 +789,51 @@ func (s *Sequence) scanSeqRow(sc *workerScratch, lv *seqLevel, r int, full bool,
 	d := s.d
 	cfg := d.Config
 	g := &lv.grid
-	gy := r * cfg.StrideCells
-	var prev []Detection
-	pc := 0
-	if !full {
-		src := r + lv.srcRowDelta
-		rs := lv.rowStart[lv.cur]
-		prev = lv.dets[lv.cur][rs[src]:rs[src+1]]
+	wcx, stride := cfg.WindowCellsX, cfg.StrideCells
+	gy := r * stride
+	n := windowsAcross(g.CellsX, wcx, stride)
+	if full {
+		return d.scoreRun(sc, g, 0, gy, n, lv.scale, dst)
 	}
-	wcx := cfg.WindowCellsX
-	for gx := 0; gx+wcx <= g.CellsX; gx += cfg.StrideCells {
-		if !full {
-			hit := false
-			for k := 0; k < lv.nColRanges; k++ {
-				if gx < lv.colRanges[k][1] && gx+wcx > lv.colRanges[k][0] {
-					hit = true
-					break
-				}
+	src := r + lv.srcRowDelta
+	rs := lv.rowStart[lv.cur]
+	prev := lv.dets[lv.cur][rs[src]:rs[src+1]]
+	pc := 0
+	for c := 0; c < n; {
+		if lv.dirtyWindow(c*stride, wcx) {
+			c1 := c + 1
+			for c1 < n && lv.dirtyWindow(c1*stride, wcx) {
+				c1++
 			}
-			if !hit {
-				srcX := int(float64((gx+lv.srcColDelta)*cfg.CellSize) * lv.scale)
-				for pc < len(prev) && prev[pc].Box.X < srcX {
-					pc++
-				}
-				if pc < len(prev) && prev[pc].Box.X == srcX {
-					det := prev[pc]
-					pc++
-					det.Box.X += lv.adjX
-					det.Box.Y += lv.adjY
-					dst = append(dst, det)
-				}
-				continue
-			}
-		}
-		sc.windows++
-		desc, err := d.Extractor.DescriptorInto(sc.desc[:0], g, gx, gy)
-		if err != nil {
-			sc.errs++
+			dst = d.scoreRun(sc, g, c*stride, gy, c1-c, lv.scale, dst)
+			c = c1
 			continue
 		}
-		sc.desc = desc
-		score := d.Scorer.Score(desc)
-		if score < cfg.Threshold {
-			continue
+		srcX := int(float64((c*stride+lv.srcColDelta)*cfg.CellSize) * lv.scale)
+		for pc < len(prev) && prev[pc].Box.X < srcX {
+			pc++
 		}
-		dst = append(dst, Detection{
-			Box: dataset.Box{
-				X: int(float64(gx*cfg.CellSize) * lv.scale),
-				Y: int(float64(gy*cfg.CellSize) * lv.scale),
-				W: int(float64(s.winW) * lv.scale),
-				H: int(float64(s.winH) * lv.scale),
-			},
-			Score: score,
-		})
+		if pc < len(prev) && prev[pc].Box.X == srcX {
+			det := prev[pc]
+			pc++
+			det.Box.X += lv.adjX
+			det.Box.Y += lv.adjY
+			dst = append(dst, det)
+		}
+		c++
 	}
 	return dst
+}
+
+// dirtyWindow reports whether the window of wcx cells at cell column
+// gx overlaps one of lv's dirty cell-column ranges.
+func (lv *seqLevel) dirtyWindow(gx, wcx int) bool {
+	for k := 0; k < lv.nColRanges; k++ {
+		if gx < lv.colRanges[k][1] && gx+wcx > lv.colRanges[k][0] {
+			return true
+		}
+	}
+	return false
 }
 
 // iabs returns |v|.

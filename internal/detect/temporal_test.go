@@ -52,13 +52,32 @@ func seqTestExtractors(t testing.TB) map[string]Extractor {
 }
 
 // perFrameWant runs independent per-frame Detect calls — the reference
-// the temporal engine must match bit for bit.
-func perFrameWant(det *Detector, frames []dataset.Frame) [][]Detection {
+// the temporal engine must match bit for bit — and holds each to NMS of
+// the per-window legacy scan, so the chain ends at an oracle that calls
+// DescriptorInto and Score for every window whatever the scorer.
+func perFrameWant(t *testing.T, det *Detector, frames []dataset.Frame) [][]Detection {
+	t.Helper()
 	want := make([][]Detection, len(frames))
 	for i, f := range frames {
 		want[i] = append([]Detection(nil), det.Detect(f.Image)...)
+		if legacy := NMS(legacyDetectRaw(det, f.Image), det.Config.NMSEpsilon); !reflect.DeepEqual(want[i], legacy) {
+			t.Fatalf("frame %d: Detect diverges from the per-window legacy scan (%d vs %d dets)",
+				i, len(want[i]), len(legacy))
+		}
 	}
 	return want
+}
+
+// descriptorLen returns the length of ext's window descriptor.
+func descriptorLen(t *testing.T, ext Extractor) int {
+	t.Helper()
+	var g hog.Grid
+	ext.GridInto(&g, imgproc.New(64, 128))
+	d, err := ext.DescriptorInto(nil, &g, 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return len(d)
 }
 
 // TestSequenceMatchesPerFrame is the temporal differential property
@@ -67,7 +86,7 @@ func perFrameWant(det *Detector, frames []dataset.Frame) [][]Detection {
 // per-frame Detect calls at every worker count and stride — including
 // the strides that break pan alignment and force the fallback, and more
 // workers than levels (a one-level 64x128 stream, depths 2 and 3 at 8
-// workers).
+// workers) — for both scorer kinds.
 func TestSequenceMatchesPerFrame(t *testing.T) {
 	withProcs(t, 8)
 	scenarios := []string{"static", "walkers", "pan", "jitter", "lightramp"}
@@ -78,25 +97,27 @@ func TestSequenceMatchesPerFrame(t *testing.T) {
 		strides = []int{1}
 		geoms = []struct{ w, h, maxLevels int }{{168, 176, 3}, {64, 128, 0}}
 	}
-	for _, scenario := range scenarios {
-		for _, geom := range geoms {
-			frames := seqFrames(t, 7, scenario, geom.w, geom.h, 5)
-			for _, stride := range strides {
-				cfg := DefaultConfig()
-				cfg.MaxLevels = geom.maxLevels
-				cfg.StrideCells = stride
-				cfg.Threshold = -1e18 // keep every window: maximal reuse surface
-				det := testDetector(t, cfg)
-				det.Config.Workers = 1
-				want := perFrameWant(det, frames)
-				for _, workers := range []int{1, 2, 8} {
-					det.Config.Workers = workers
-					seq := det.NewSequence()
-					for i, f := range frames {
-						got := seq.NextPanned(f.Image, f.PanX, f.PanY)
-						if !reflect.DeepEqual(got, want[i]) {
-							t.Fatalf("%s %dx%d depth %d stride %d workers %d frame %d: temporal diverges (%d vs %d dets)",
-								scenario, geom.w, geom.h, geom.maxLevels, stride, workers, i, len(got), len(want[i]))
+	for _, kind := range testScorers {
+		for _, scenario := range scenarios {
+			for _, geom := range geoms {
+				frames := seqFrames(t, 7, scenario, geom.w, geom.h, 5)
+				for _, stride := range strides {
+					cfg := DefaultConfig()
+					cfg.MaxLevels = geom.maxLevels
+					cfg.StrideCells = stride
+					cfg.Threshold = -1e18 // keep every window: maximal reuse surface
+					det := scoredDetector(t, cfg, kind)
+					det.Config.Workers = 1
+					want := perFrameWant(t, det, frames)
+					for _, workers := range []int{1, 2, 8} {
+						det.Config.Workers = workers
+						seq := det.NewSequence()
+						for i, f := range frames {
+							got := seq.NextPanned(f.Image, f.PanX, f.PanY)
+							if !reflect.DeepEqual(got, want[i]) {
+								t.Fatalf("%s %s %dx%d depth %d stride %d workers %d frame %d: temporal diverges (%d vs %d dets)",
+									kind, scenario, geom.w, geom.h, geom.maxLevels, stride, workers, i, len(got), len(want[i]))
+							}
 						}
 					}
 				}
@@ -106,7 +127,8 @@ func TestSequenceMatchesPerFrame(t *testing.T) {
 }
 
 // TestSequenceParadigmsBitIdentical sweeps the differential contract
-// across every extractor paradigm on a moving sequence.
+// across every extractor paradigm on a moving sequence, with the cyclic
+// linScorer and with an *svm.Model sized to each paradigm's descriptor.
 func TestSequenceParadigmsBitIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("paradigm sweep is covered by the full lane")
@@ -114,20 +136,26 @@ func TestSequenceParadigmsBitIdentical(t *testing.T) {
 	withProcs(t, 4)
 	frames := seqFrames(t, 19, "walkers", 144, 160, 4)
 	for name, ext := range seqTestExtractors(t) {
-		cfg := DefaultConfig()
-		cfg.MaxLevels = 2
-		cfg.Threshold = -1e18
-		det, err := NewDetector(ext, newLinScorer(3, 4096), cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		det.Config.Workers = 2
-		want := perFrameWant(det, frames)
-		seq := det.NewSequence()
-		for i, f := range frames {
-			if got := seq.Next(f.Image); !reflect.DeepEqual(got, want[i]) {
-				t.Fatalf("%s frame %d: temporal diverges (%d vs %d dets)",
-					name, i, len(got), len(want[i]))
+		for _, kind := range testScorers {
+			n := 4096 // linScorer cycles its weights over longer descriptors
+			if kind == "svm" {
+				n = descriptorLen(t, ext)
+			}
+			cfg := DefaultConfig()
+			cfg.MaxLevels = 2
+			cfg.Threshold = -1e18
+			det, err := NewDetector(ext, newTestScorer(kind, 3, n), cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			det.Config.Workers = 2
+			want := perFrameWant(t, det, frames)
+			seq := det.NewSequence()
+			for i, f := range frames {
+				if got := seq.Next(f.Image); !reflect.DeepEqual(got, want[i]) {
+					t.Fatalf("%s %s frame %d: temporal diverges (%d vs %d dets)",
+						name, kind, i, len(got), len(want[i]))
+				}
 			}
 		}
 	}
@@ -142,7 +170,7 @@ func TestSequenceHintRobustness(t *testing.T) {
 	cfg.MaxLevels = 2
 	cfg.Threshold = -1e18
 	det := testDetector(t, cfg)
-	want := perFrameWant(det, frames)
+	want := perFrameWant(t, det, frames)
 	seq := det.NewSequence()
 	for i, f := range frames {
 		// A bogus one-cell pan claim on a static-camera sequence.
@@ -167,42 +195,55 @@ func TestSequenceHintRobustness(t *testing.T) {
 
 // TestSequenceParallelShort is the always-on race-lane smoke test for
 // the temporal path: a quick multi-worker sequence with motion, so
-// `go test -short -race` exercises the work-row scheduler, the shared
-// rowLens array, and the cache merge.
+// `go test -short -race` exercises the level-claim schedule with all
+// four workers started (the frames have four pyramid levels), each
+// worker's refresh, grid update and row scan into its own level's
+// cache, both row-scorer paths and the merge after the join. The
+// merged raw candidates must equal the per-window legacy scan's, not
+// only their NMS output.
 func TestSequenceParallelShort(t *testing.T) {
 	withProcs(t, 4)
 	cfg := DefaultConfig()
-	cfg.MaxLevels = 1
+	cfg.MaxLevels = 0
 	cfg.Threshold = -1e18
 	cfg.Workers = 4
-	det := testDetector(t, cfg)
-	frames := seqFrames(t, 11, "walkers", 160, 144, 3)
-	seq := det.NewSequence()
-	for i, f := range frames {
-		want := det.Detect(f.Image)
-		if got := seq.Next(f.Image); !reflect.DeepEqual(got, want) {
-			t.Fatalf("frame %d: parallel temporal scan diverges", i)
+	frames := seqFrames(t, 11, "walkers", 160, 176, 3)
+	requireLevels(t, cfg, frames[0].Image, cfg.Workers)
+	for _, kind := range testScorers {
+		det := scoredDetector(t, cfg, kind)
+		want := perFrameWant(t, det, frames)
+		seq := det.NewSequence()
+		for i, f := range frames {
+			if got := seq.Next(f.Image); !reflect.DeepEqual(got, want[i]) {
+				t.Fatalf("%s frame %d: parallel temporal scan diverges", kind, i)
+			}
+			if !reflect.DeepEqual(seq.raw, legacyDetectRaw(det, f.Image)) {
+				t.Fatalf("%s frame %d: raw candidates diverge from the per-window legacy scan", kind, i)
+			}
 		}
 	}
 }
 
 // TestSequenceSteadyStateAllocs pins the 0-alloc steady-state frame
 // loop: once a static sequence is warm, a whole Next — diff, reuse
-// classification, cache assembly, NMS — allocates nothing.
+// classification, cache assembly, NMS — allocates nothing, with either
+// scorer kind.
 func TestSequenceSteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race mode makes sync.Pool drop puts; alloc counts are meaningless")
 	}
 	cfg := DefaultConfig()
 	cfg.Threshold = -1e18 // every window carries a detection through the cache
-	det := testDetector(t, cfg)
 	img := dataset.NewGenerator(9).NegativeImage(160, 160)
-	seq := det.NewSequence()
-	for i := 0; i < 3; i++ {
-		seq.Next(img)
-	}
-	if allocs := testing.AllocsPerRun(10, func() { seq.Next(img) }); allocs != 0 {
-		t.Fatalf("steady-state frame loop allocates %v times per frame, want 0", allocs)
+	for _, kind := range testScorers {
+		det := scoredDetector(t, cfg, kind)
+		seq := det.NewSequence()
+		for i := 0; i < 3; i++ {
+			seq.Next(img)
+		}
+		if allocs := testing.AllocsPerRun(10, func() { seq.Next(img) }); allocs != 0 {
+			t.Fatalf("%s: steady-state frame loop allocates %v times per frame, want 0", kind, allocs)
+		}
 	}
 }
 

@@ -139,3 +139,12 @@ func (e *FPGAExtractor) DescriptorInto(dst []float64, g *Grid, cellX, cellY int)
 	ref := Extractor{cfg: e.cfg}
 	return ref.DescriptorInto(dst, g, cellX, cellY)
 }
+
+// LinearScoresInto is Extractor.LinearScoresInto for the fixed-point
+// grid, over the same float block plane DescriptorInto reads.
+//
+//pcnn:hotpath
+func (e *FPGAExtractor) LinearScoresInto(dst []float64, g *Grid, cellX, cellY, step, n int, w []float64, b float64) ([]float64, error) {
+	ref := Extractor{cfg: e.cfg}
+	return ref.LinearScoresInto(dst, g, cellX, cellY, step, n, w, b)
+}

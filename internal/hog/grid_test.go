@@ -113,7 +113,7 @@ func TestGridResetReusesAndZeroes(t *testing.T) {
 // NormNone one), the reference HoG under all five norms, the strided
 // branch (BlockStride 2), 3x3-cell blocks, and the spatial voting
 // path.
-func oracleExtractors(t *testing.T) map[string]gridExtractor {
+func oracleExtractors(t testing.TB) map[string]gridExtractor {
 	t.Helper()
 	out := map[string]gridExtractor{}
 	fpga, err := NewFPGAExtractor(64, 128)

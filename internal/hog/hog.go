@@ -606,30 +606,137 @@ var ErrNoBlockPlane = errors.New("hog: grid has no block plane for this configur
 //
 //pcnn:hotpath
 func (e *Extractor) DescriptorInto(dst []float64, g *Grid, cellX, cellY int) ([]float64, error) {
-	cx, cy := e.cfg.CellsX(), e.cfg.CellsY()
-	if err := g.checkWindow(cellX, cellY, cx, cy, e.cfg.NBins); err != nil {
+	p, err := e.windowPlane(g, cellX, cellY)
+	if err != nil {
 		return dst, err
 	}
-	bc, bs := e.cfg.BlockCells, e.cfg.BlockStride
-	p := g.blocksFor(e.cfg.NBins, bc, e.cfg.Norm)
-	if p == nil {
-		return dst, ErrNoBlockPlane
-	}
-	if bs == 1 {
-		// Stride-1 block rows are contiguous in the plane: one copy
-		// per block row instead of one per cell.
-		rowLen := (cx - bc + 1) * p.blockLen
-		for by := 0; by+bc <= cy; by++ {
-			off := ((cellY+by)*p.nbx + cellX) * p.blockLen
-			dst = append(dst, p.data[off:off+rowLen]...)
+	bc, bs, cy := e.cfg.BlockCells, e.cfg.BlockStride, e.cfg.CellsY()
+	segLen, segs := e.segments(p.blockLen)
+	for by := 0; by+bc <= cy; by += bs {
+		rowOff := ((cellY+by)*p.nbx + cellX) * p.blockLen
+		for k := 0; k < segs; k++ {
+			off := rowOff + k*bs*p.blockLen
+			dst = append(dst, p.data[off:off+segLen]...)
 		}
+	}
+	return dst, nil
+}
+
+// windowPlane returns g's block plane after checking that the window
+// at top-left cell (cellX, cellY) fits g: the checks DescriptorInto
+// and LinearScoresInto share. It returns ErrNoBlockPlane when g holds
+// no plane prepared under this configuration.
+func (e *Extractor) windowPlane(g *Grid, cellX, cellY int) (*blockPlane, error) {
+	if err := g.checkWindow(cellX, cellY, e.cfg.CellsX(), e.cfg.CellsY(), e.cfg.NBins); err != nil {
+		return nil, err
+	}
+	p := g.blocksFor(e.cfg.NBins, e.cfg.BlockCells, e.cfg.Norm)
+	if p == nil {
+		return nil, ErrNoBlockPlane
+	}
+	return p, nil
+}
+
+// segments returns how a window's descriptor lies in the block plane:
+// in each block row it covers (every BlockStride-th), segs contiguous
+// runs of segLen values, BlockStride blocks apart. At block stride 1 a
+// block row's blocks are adjacent in the plane, so the row is one run
+// (one copy per block row instead of one per block); otherwise each
+// block is its own run.
+func (e *Extractor) segments(blockLen int) (segLen, segs int) {
+	segs = (e.cfg.CellsX()-e.cfg.BlockCells)/e.cfg.BlockStride + 1
+	if e.cfg.BlockStride == 1 {
+		return segs * blockLen, 1
+	}
+	return blockLen, segs
+}
+
+// LinearScoresInto appends to dst the linear scores b + w·x_j of the n
+// windows whose top-left cells are (cellX+j*step, cellY), j = 0..n-1,
+// where x_j is the window's DescriptorInto descriptor, and returns the
+// extended slice. The descriptors are never copied out: the kernel
+// reads them straight from g's block plane, four windows per pass over
+// w (DESIGN §7: eight measured no faster), each window with its own
+// accumulator. Each accumulator starts at b and adds w[i]*x_j[i] in
+// descriptor order, exactly as svm.Model.Score does, so every score is
+// bit-identical to Score of the DescriptorInto descriptor. Like
+// DescriptorInto it is safe for concurrent callers holding distinct dst
+// buffers over one read-only grid.
+//
+// It fails where DescriptorInto would fail for any of the n windows
+// (a window off the grid, ErrNoBlockPlane) and when len(w) is not the
+// descriptor length; on error dst is unchanged.
+//
+//pcnn:hotpath
+func (e *Extractor) LinearScoresInto(dst []float64, g *Grid, cellX, cellY, step, n int, w []float64, b float64) ([]float64, error) {
+	if want := e.cfg.DescriptorLen(); len(w) != want {
+		return dst, fmt.Errorf("hog: %d weights, descriptor has %d values", len(w), want)
+	}
+	if n < 0 {
+		return dst, fmt.Errorf("hog: negative window count %d", n)
+	}
+	if n == 0 {
 		return dst, nil
 	}
-	for by := 0; by+bc <= cy; by += bs {
-		rowOff := (cellY + by) * p.nbx
-		for bx := 0; bx+bc <= cx; bx += bs {
-			off := (rowOff + cellX + bx) * p.blockLen
-			dst = append(dst, p.data[off:off+p.blockLen]...)
+	// Window columns move monotonically, so the first and last window
+	// bound the run. A step or count the grid cannot hold fails before
+	// (n-1)*step could overflow.
+	last := cellX
+	if n > 1 && step != 0 {
+		if step > g.CellsX || -step > g.CellsX || n-1 > g.CellsX {
+			return dst, fmt.Errorf("hog: %d windows %d cells apart do not fit grid %dx%d",
+				n, step, g.CellsX, g.CellsY)
+		}
+		last += (n - 1) * step
+	}
+	if err := g.checkWindow(last, cellY, e.cfg.CellsX(), e.cfg.CellsY(), e.cfg.NBins); err != nil {
+		return dst, err
+	}
+	p, err := e.windowPlane(g, cellX, cellY)
+	if err != nil {
+		return dst, err
+	}
+	bc, bs, bl, cy := e.cfg.BlockCells, e.cfg.BlockStride, p.blockLen, e.cfg.CellsY()
+	segLen, segs := e.segments(bl)
+	data := p.data
+	for j0 := 0; j0 < n; j0 += 4 {
+		// Lanes past the last window re-read it; their sums are
+		// dropped.
+		o0 := (cellX + j0*step) * bl
+		o1 := (cellX + min(j0+1, n-1)*step) * bl
+		o2 := (cellX + min(j0+2, n-1)*step) * bl
+		o3 := (cellX + min(j0+3, n-1)*step) * bl
+		s0, s1, s2, s3 := b, b, b, b
+		wo := 0
+		for by := 0; by+bc <= cy; by += bs {
+			rowOff := (cellY + by) * p.nbx * bl
+			for k := 0; k < segs; k++ {
+				off := rowOff + k*bs*bl
+				ws := w[wo : wo+segLen]
+				x0 := data[off+o0 : off+o0+segLen]
+				x1 := data[off+o1 : off+o1+segLen]
+				x2 := data[off+o2 : off+o2+segLen]
+				x3 := data[off+o3 : off+o3+segLen]
+				// Equal lengths let the compiler drop the bounds checks.
+				x0, x1, x2, x3 = x0[:len(ws)], x1[:len(ws)], x2[:len(ws)], x3[:len(ws)]
+				for i, wi := range ws {
+					s0 += wi * x0[i]
+					s1 += wi * x1[i]
+					s2 += wi * x2[i]
+					s3 += wi * x3[i]
+				}
+				wo += segLen
+			}
+		}
+		switch n - j0 {
+		case 1:
+			dst = append(dst, s0)
+		case 2:
+			dst = append(dst, s0, s1)
+		case 3:
+			dst = append(dst, s0, s1, s2)
+		default:
+			dst = append(dst, s0, s1, s2, s3)
 		}
 	}
 	return dst, nil

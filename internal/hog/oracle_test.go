@@ -81,6 +81,7 @@ type gridExtractor interface {
 	Config() Config
 	GridInto(g *Grid, img *imgproc.Image)
 	DescriptorInto(dst []float64, g *Grid, cellX, cellY int) ([]float64, error)
+	LinearScoresInto(dst []float64, g *Grid, cellX, cellY, step, n int, w []float64, b float64) ([]float64, error)
 }
 
 // descriptor returns the descriptor of the window at cell (0, 0) of

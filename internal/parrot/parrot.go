@@ -372,6 +372,16 @@ func (e *Extractor) DescriptorInto(dst []float64, g *hog.Grid, cellX, cellY int)
 	return e.asm.DescriptorInto(dst, g, cellX, cellY)
 }
 
+// LinearScoresInto appends the linear scores b + w·x of n windows
+// stepped along one row of g to dst, bit-identical to svm.Model.Score
+// of their DescriptorInto descriptors (see
+// hog.Extractor.LinearScoresInto).
+//
+//pcnn:hotpath
+func (e *Extractor) LinearScoresInto(dst []float64, g *hog.Grid, cellX, cellY, step, n int, w []float64, b float64) ([]float64, error) {
+	return e.asm.LinearScoresInto(dst, g, cellX, cellY, step, n, w, b)
+}
+
 // MimicryCorrelation measures how well the extractor's confidence
 // distributions track the reference histograms on held-out samples —
 // the fidelity of the parrot transformation. The reference histogram
