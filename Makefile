@@ -60,8 +60,9 @@ perfbench-check:
 # perfbench/run.sh does and prints where the linker placed the hot
 # loops whose speed may depend on their 64-byte alignment (ROADMAP item
 # 1): address and address mod 64 of eedn.(*Dense).preact,
-# svm.(*Model).Score and the block-plane SVM kernel
-# hog.(*Extractor).LinearScoresInto, then a SHA-256 of the binary's
+# svm.(*Model).Score, the block-plane SVM kernel
+# hog.(*Extractor).LinearScoresInto and the FPGA-HoG cell pass
+# hog.(*FPGAExtractor).fixedCellPass, then a SHA-256 of the binary's
 # sorted text-symbol table. Two trees that print the same lines link the
 # benchmark's code identically, so a benchmark difference between them
 # is not placement.
@@ -73,7 +74,8 @@ perfbench-layout:
 		GOTOOLCHAIN=local $(GO) build -o $(BENCH_BUILD)/perfbench .
 	@$(GO) tool nm $(BENCH_BUILD)/perfbench | \
 		awk '$$3 == "repro/internal/eedn.(*Dense).preact" || $$3 == "repro/internal/svm.(*Model).Score" || \
-			$$3 == "repro/internal/hog.(*Extractor).LinearScoresInto" { print $$1, $$3 }' | \
+			$$3 == "repro/internal/hog.(*Extractor).LinearScoresInto" || \
+			$$3 == "repro/internal/hog.(*FPGAExtractor).fixedCellPass" { print $$1, $$3 }' | \
 		while read addr sym; do echo "$$sym 0x$$addr mod64=$$((0x$$addr % 64))"; done
 	@$(GO) tool nm $(BENCH_BUILD)/perfbench | awk '$$2 == "T" || $$2 == "t"' | sort | sha256sum | \
 		awk '{ print "text-symbols sha256 " $$1 }'
@@ -135,6 +137,7 @@ fuzz:
 	$(GO) test ./internal/eedn -run '^$$' -fuzz '^FuzzLoad$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/imgproc -run '^$$' -fuzz '^FuzzReadPGM$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/hog -run '^$$' -fuzz '^FuzzLinearScores$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/hog -run '^$$' -fuzz '^FuzzFPGAGridInto$$' -fuzztime $(FUZZTIME)
 
 clean:
 	rm -f BENCH_obs.json BENCH_sim.json BENCH_detect.json

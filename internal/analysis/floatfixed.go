@@ -26,12 +26,12 @@ var FloatFixed = &Analyzer{
 // fixedBoundaryFuncs are the functions of internal/fixed that are
 // allowed to perform float arithmetic, because they ARE the boundary:
 //
-//   - FromFloat / ToFloat / Eps / Quantize: the Q<->float64 converters.
-//   - Atan2Bin: models the CORDIC-style comparison network in float;
-//     its error is below one Q LSB (documented at the definition), so
-//     the float model is within quantization noise of the RTL.
+//   - FromFloat / FromFloats / ToFloat / Eps / Quantize: the
+//     Q<->float64 converters (FromFloats is FromFloat over a slice).
+//   - Atan2Bin: the orientation unit, modelled in float with
+//     math.Atan2 (documented at the definition).
 var fixedBoundaryFuncs = map[string]bool{
-	"FromFloat": true, "ToFloat": true, "Eps": true,
+	"FromFloat": true, "FromFloats": true, "ToFloat": true, "Eps": true,
 	"Quantize": true, "Atan2Bin": true,
 }
 

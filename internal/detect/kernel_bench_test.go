@@ -7,6 +7,7 @@ import (
 	"repro/internal/dataset"
 	"repro/internal/eedn"
 	"repro/internal/hog"
+	"repro/internal/imgproc"
 	"repro/internal/napprox"
 	"repro/internal/parrot"
 )
@@ -43,17 +44,37 @@ func benchExtractors(b *testing.B) map[string]Extractor {
 
 // BenchmarkGridInto measures the per-level cell-grid kernels of every
 // extractor paradigm on a 160x160 image (the ScanInner level size).
+// fpga-rails runs the FPGA model on the same image with half its
+// pixels, in two-column stripes, pushed past the Q8.8 rail: every
+// horizontal gradient then leaves the exact gradient table, so it
+// prices the saturating fallback arithmetic.
 func BenchmarkGridInto(b *testing.B) {
 	img := dataset.NewGenerator(9).NegativeImage(160, 160)
-	for _, name := range []string{"hog", "fpga", "napprox", "parrot"} {
-		ext := benchExtractors(b)[name]
-		b.Run(name, func(b *testing.B) {
+	rails := img.Clone()
+	for i := range rails.Pix {
+		if i%img.W%4 >= 2 {
+			rails.Pix[i] += 128
+		}
+	}
+	exts := benchExtractors(b)
+	for _, run := range []struct {
+		name string
+		ext  Extractor
+		img  *imgproc.Image
+	}{
+		{"hog", exts["hog"], img},
+		{"fpga", exts["fpga"], img},
+		{"napprox", exts["napprox"], img},
+		{"parrot", exts["parrot"], img},
+		{"fpga-rails", exts["fpga"], rails},
+	} {
+		b.Run(run.name, func(b *testing.B) {
 			var g hog.Grid
-			ext.GridInto(&g, img) // warm the grid planes
+			run.ext.GridInto(&g, run.img) // warm the grid planes
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				ext.GridInto(&g, img)
+				run.ext.GridInto(&g, run.img)
 			}
 		})
 	}

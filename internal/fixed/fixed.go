@@ -77,6 +77,24 @@ func (q Q) FromFloat(f float64) int64 {
 	return q.Saturate(raw)
 }
 
+// FromFloats converts src into dst element by element, each value
+// exactly as FromFloat converts it; dst must be at least as long as
+// src. A value whose scaled form lies in [0, Max) — every pixel in
+// [0, 1] under Q16_8 — takes FromFloat's own multiply, half-add and
+// truncation with none of its range checks, since none of them can
+// fire there; the rest (negatives, NaN, ±Inf, the rails) go through
+// FromFloat.
+func (q Q) FromFloats(dst []int64, src []float64) {
+	one, hi := float64(q.One()), float64(q.Max())
+	for i, f := range src {
+		if scaled := f * one; scaled >= 0 && scaled < hi {
+			dst[i] = int64(scaled + 0.5)
+		} else {
+			dst[i] = q.FromFloat(f)
+		}
+	}
+}
+
 // ToFloat converts a raw value back to float64.
 func (q Q) ToFloat(raw int64) float64 {
 	return float64(raw) / float64(q.One())
@@ -151,9 +169,12 @@ func (q Q) String() string {
 
 // Atan2Bin returns the orientation bin of the vector (y, x) among nbins
 // evenly spaced bins covering [0°, 180°) when signed is false or
-// [0°, 360°) when signed is true, computed with an octant-folding CORDIC
-// style comparison network rather than a real arctangent, as done in
-// fixed-point HoG hardware. The raw values share any common Q format.
+// [0°, 360°) when signed is true. The raw values share any common Q
+// format. It folds the vector into the first quadrant, takes
+// math.Atan2 of (|y|, |x|) in float64, unfolds the angle to the full
+// circle and divides it by the bin width; the zero vector is bin 0.
+// The arctangent is a float model of the hardware's orientation unit,
+// not a bit-level model of a CORDIC or comparison network.
 func Atan2Bin(y, x int64, nbins int, signed bool) int {
 	if nbins <= 0 {
 		return 0
@@ -168,10 +189,6 @@ func Atan2Bin(y, x int64, nbins int, signed bool) int {
 	if ax == 0 && ay == 0 {
 		return 0
 	}
-	// Compare the vector against the tangent of each bin boundary using
-	// cross-multiplication, which needs no division: angle >= b iff
-	// |y| * cos(b) >= |x| * sin(b) fails ... we walk boundaries in the
-	// first quadrant and fold.
 	deg := math.Atan2(float64(ay), float64(ax)) * 180 / math.Pi // 0..90
 	// Unfold to the full circle.
 	switch {

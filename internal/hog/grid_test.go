@@ -2,6 +2,7 @@ package hog
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -297,13 +298,64 @@ func fpgaGridIntoLegacy(e *FPGAExtractor, g *Grid, img *imgproc.Image) {
 	}
 }
 
+// fpgaEdgePixels are pixel values that take the FPGA datapath off its
+// gradient table or hit FromFloat's special cases: negatives, values
+// above 1, the Q8.8 rails and far past them, ±Inf, NaN, −0, and
+// rounding ties.
+var fpgaEdgePixels = []float64{
+	-0.25, -1, 1.5, 3, 128, -128, 127.99609375, 1e6, -1e6,
+	math.Inf(1), math.Inf(-1), math.NaN(), math.Copysign(0, -1),
+	0.5 / 256, 255.5 / 256,
+}
+
+// fpgaTestImages returns the images the FPGA differential runs at one
+// size: uniform noise in [0, 1] (the table's whole domain), that noise
+// with every third pixel an edge value, noise over [-1, 2] (about two
+// pixels in three outside [0, 1]), and a checkerboard of 2x2-pixel
+// squares at the ±128 rails, where both gradient components of every
+// interior pixel saturate.
+func fpgaTestImages(w, h int, seed int64) map[string]*imgproc.Image {
+	noise := noiseImage(w, h, seed)
+	edge := noiseImage(w, h, seed)
+	for i := 0; i < len(edge.Pix); i += 3 {
+		edge.Pix[i] = fpgaEdgePixels[(i/3)%len(fpgaEdgePixels)]
+	}
+	wide := noiseImage(w, h, seed)
+	for i, v := range wide.Pix {
+		wide.Pix[i] = 3*v - 1
+	}
+	rails := imgproc.New(w, h)
+	for y := 0; y < h; y++ {
+		for x := 0; x < w; x++ {
+			rails.Set(x, y, float64(128-256*((x/2+y/2)%2)))
+		}
+	}
+	return map[string]*imgproc.Image{"noise": noise, "edge": edge, "wide": wide, "rails": rails}
+}
+
+// sameGrid fails the test unless got has want's shape and bits.
+func sameGrid(t testing.TB, label string, got, want *Grid) {
+	t.Helper()
+	if got.CellsX != want.CellsX || got.CellsY != want.CellsY || got.Bins != want.Bins {
+		t.Fatalf("%s: grid %dx%dx%d, want %dx%dx%d", label,
+			got.CellsX, got.CellsY, got.Bins, want.CellsX, want.CellsY, want.Bins)
+	}
+	for i := range want.Data {
+		if math.Float64bits(got.Data[i]) != math.Float64bits(want.Data[i]) {
+			t.Fatalf("%s: Data[%d] = %v, want %v", label, i, got.Data[i], want.Data[i])
+		}
+	}
+}
+
 // TestFPGAGridIntoAndDescriptorInto checks the fixed-point model end
 // to end. GridInto, into one grid reused across sizes, must match the
 // frozen per-pixel closure loop bit for bit on cell-multiple, ragged,
-// single-cell and sub-cell images. DescriptorInto must append the
-// frozen per-window assembly's descriptor after dst's contents, and
-// must refuse a grid whose block plane was prepared under another
-// norm.
+// single-cell and sub-cell images, with pixels in [0, 1] and with the
+// out-of-range, infinite, NaN and signed-zero pixels that leave the
+// gradient table for the saturating arithmetic. DescriptorInto must
+// append the frozen per-window assembly's descriptor after dst's
+// contents, and must refuse a grid whose block plane was prepared
+// under another norm.
 func TestFPGAGridIntoAndDescriptorInto(t *testing.T) {
 	e, err := NewFPGAExtractor(64, 128)
 	if err != nil {
@@ -312,18 +364,11 @@ func TestFPGAGridIntoAndDescriptorInto(t *testing.T) {
 	var g Grid
 	sizes := [][2]int{{96, 160}, {101, 157}, {17, 23}, {8, 8}, {7, 7}}
 	for si, wh := range sizes {
-		img := noiseImage(wh[0], wh[1], int64(5+si))
-		var want Grid
-		fpgaGridIntoLegacy(e, &want, img)
-		e.GridInto(&g, img)
-		if g.CellsX != want.CellsX || g.CellsY != want.CellsY || g.Bins != want.Bins {
-			t.Fatalf("%dx%d: grid %dx%dx%d, want %dx%dx%d", wh[0], wh[1],
-				g.CellsX, g.CellsY, g.Bins, want.CellsX, want.CellsY, want.Bins)
-		}
-		for i := range want.Data {
-			if math.Float64bits(g.Data[i]) != math.Float64bits(want.Data[i]) {
-				t.Fatalf("%dx%d: Data[%d] = %v, legacy %v", wh[0], wh[1], i, g.Data[i], want.Data[i])
-			}
+		for name, img := range fpgaTestImages(wh[0], wh[1], int64(5+si)) {
+			var want Grid
+			fpgaGridIntoLegacy(e, &want, img)
+			e.GridInto(&g, img)
+			sameGrid(t, fmt.Sprintf("%s %dx%d", name, wh[0], wh[1]), &g, &want)
 		}
 	}
 

@@ -250,9 +250,10 @@ func (e *Extractor) binOf(ang float64) float64 {
 	return b
 }
 
-// vote adds one pixel's contribution to hist.
+// vote adds one pixel's contribution to hist. A gradient with a NaN
+// component (its angle is then NaN) votes nothing.
 func (e *Extractor) vote(hist []float64, mag, ang float64) {
-	if mag == 0 {
+	if mag == 0 || math.IsNaN(ang) {
 		return
 	}
 	fb := e.binOf(ang)
@@ -295,7 +296,7 @@ func (e *Extractor) GridInto(g *Grid, img *imgproc.Image) {
 		return
 	}
 	if e.cfg.SpatialInterp {
-		e.gridIntoSpatial(g, img)
+		e.gridIntoSpatial(g, imgproc.ComputeGradient(img))
 	} else {
 		w, h := cx*cs, cy*cs
 		mag, bin, frac := g.soaPlanes(w * h)
@@ -305,14 +306,14 @@ func (e *Extractor) GridInto(g *Grid, img *imgproc.Image) {
 	e.PrepareBlocks(g)
 }
 
-// gridIntoSpatial is the full Dalal-Triggs voting pass: each pixel's
-// vote is split bilinearly among the four cells whose centers surround
-// it. Cross-cell splitting defeats row-run blocking (one pixel updates
-// up to four histograms), so this path keeps the per-pixel structure.
-func (e *Extractor) gridIntoSpatial(g *Grid, img *imgproc.Image) {
+// gridIntoSpatial is the full Dalal-Triggs voting pass over the
+// image's gradient field: each pixel's vote is split bilinearly among
+// the four cells whose centers surround it. Cross-cell splitting
+// defeats row-run blocking (one pixel updates up to four histograms),
+// so this path keeps the per-pixel structure.
+func (e *Extractor) gridIntoSpatial(g *Grid, grad *imgproc.Gradient) {
 	cs := e.cfg.CellSize
 	cx, cy := g.CellsX, g.CellsY
-	grad := imgproc.ComputeGradient(img)
 	half := float64(cs) / 2
 	for y := 0; y < cy*cs; y++ {
 		for x := 0; x < cx*cs; x++ {
@@ -353,7 +354,8 @@ func (e *Extractor) gridIntoSpatial(g *Grid, img *imgproc.Image) {
 // math.Atan2, binOf with the bin width hoisted to the same
 // precomputed value), so downstream accumulation is bit-identical to
 // the per-pixel vote calls. Pixels with zero magnitude store bin 0
-// and magnitude +0, which accumulate as exact no-ops.
+// and magnitude +0, which accumulate as exact no-ops; so do pixels
+// whose gradient has a NaN component, which vote nothing.
 //
 //pcnn:hotpath
 func (e *Extractor) gradBinPass(img *imgproc.Image, w, h int, mag []float64, bin []int32, frac []float64) {
@@ -397,6 +399,11 @@ func (e *Extractor) gradBinPass(img *imgproc.Image, w, h int, mag []float64, bin
 			iyv := pix[rowU+x] - pix[rowD+x]
 			m := math.Hypot(ixv, iyv)
 			ang := math.Atan2(iyv, ixv)
+			idx := out + x
+			if math.IsNaN(ang) {
+				mag[idx], bin[idx], frac[idx] = 0, 0, 0
+				continue
+			}
 			deg := ang * 180 / math.Pi
 			if deg < 0 {
 				deg += 360
@@ -408,7 +415,6 @@ func (e *Extractor) gradBinPass(img *imgproc.Image, w, h int, mag []float64, bin
 			if fb >= nbF {
 				fb -= nbF
 			}
-			idx := out + x
 			mag[idx] = m
 			bin[idx] = int32(int(fb) % nb)
 			frac[idx] = fb - math.Floor(fb)

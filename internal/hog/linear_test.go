@@ -21,17 +21,6 @@ var linearEdgeValues = []float64{
 	math.MaxFloat64, -math.MaxFloat64,
 }
 
-// linearEdgePixels is linearEdgeValues without NaN: the reference
-// GridInto indexes a histogram with int(NaN) and panics, so NaN reaches
-// the descriptors through infinite pixels and planted plane values
-// instead.
-var linearEdgePixels = []float64{
-	0, math.Copysign(0, -1), 1, 0.25,
-	math.Inf(1), math.Inf(-1),
-	math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64,
-	math.MaxFloat64, -math.MaxFloat64,
-}
-
 // sameScore reports whether two scores have the same IEEE-754 bits.
 // Any NaN matches any NaN: the Go specification leaves NaN payloads
 // and signs unspecified, so they are not part of the contract.
@@ -148,7 +137,7 @@ func TestLinearScoresIntoMatchesScore(t *testing.T) {
 		}
 		edgeImg := linearImage(5)
 		for i := 0; i < len(edgeImg.Pix); i += 211 {
-			edgeImg.Pix[i] = linearEdgePixels[(i/211)%len(linearEdgePixels)]
+			edgeImg.Pix[i] = linearEdgeValues[(i/211)%len(linearEdgeValues)]
 		}
 		cases := []struct {
 			name  string
@@ -272,7 +261,7 @@ func FuzzLinearScores(f *testing.F) {
 		// the image.
 		for i := 0; i+1 < len(pix); i += 2 {
 			at := int(pix[i]) * len(img.Pix) / 256
-			img.Pix[at] = pickValue(linearEdgePixels, pix[i+1], 0.5)
+			img.Pix[at] = pickValue(linearEdgeValues, pix[i+1], 0.5)
 		}
 		var g Grid
 		e.GridInto(&g, img)

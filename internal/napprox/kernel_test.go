@@ -28,6 +28,9 @@ func gridIntoLegacyCells(e *Extractor, g *hog.Grid, img *imgproc.Image) {
 // across both argmax flavors — quantized (LUT-driven) and full
 // precision (inline projection scan) — plus the threshold mode that
 // stays on the per-cell path, over odd image sizes and fuzzed pixels.
+// Each size also runs with NaN pixels planted at the corners and
+// through the interior, and as an all-NaN image: a gradient with a NaN
+// component votes nothing on either path.
 func TestArgmaxKernelMatchesVoteCell(t *testing.T) {
 	tn := TrueNorthConfig()
 	thr := tn
@@ -58,17 +61,35 @@ func TestArgmaxKernelMatchesVoteCell(t *testing.T) {
 			for i := range img.Pix {
 				img.Pix[i] = rng.Float64()
 			}
-			var want, got hog.Grid
-			gridIntoLegacyCells(e, &want, img)
-			e.GridInto(&got, img)
-			if got.CellsX != want.CellsX || got.CellsY != want.CellsY || got.Bins != want.Bins {
-				t.Fatalf("%s %dx%d: grid %dx%dx%d, want %dx%dx%d", name, wh[0], wh[1],
-					got.CellsX, got.CellsY, got.Bins, want.CellsX, want.CellsY, want.Bins)
+			nan := imgproc.New(wh[0], wh[1])
+			copy(nan.Pix, img.Pix)
+			for i := 0; i < len(nan.Pix); i += 13 {
+				nan.Pix[i] = math.NaN()
 			}
-			for i := range want.Data {
-				if math.Float64bits(got.Data[i]) != math.Float64bits(want.Data[i]) {
-					t.Fatalf("%s %dx%d: Data[%d] = %v, legacy %v",
-						name, wh[0], wh[1], i, got.Data[i], want.Data[i])
+			nan.Set(wh[0]-1, 0, math.NaN())
+			nan.Set(0, wh[1]-1, math.NaN())
+			nan.Set(wh[0]-1, wh[1]-1, math.NaN())
+			allNaN := imgproc.New(wh[0], wh[1])
+			allNaN.Fill(math.NaN())
+			for _, im := range []struct {
+				what string
+				img  *imgproc.Image
+			}{{"random", img}, {"nan-planted", nan}, {"all-nan", allNaN}} {
+				var want, got hog.Grid
+				gridIntoLegacyCells(e, &want, im.img)
+				e.GridInto(&got, im.img)
+				if got.CellsX != want.CellsX || got.CellsY != want.CellsY || got.Bins != want.Bins {
+					t.Fatalf("%s %s %dx%d: grid %dx%dx%d, want %dx%dx%d", name, im.what, wh[0], wh[1],
+						got.CellsX, got.CellsY, got.Bins, want.CellsX, want.CellsY, want.Bins)
+				}
+				for i := range want.Data {
+					if math.Float64bits(got.Data[i]) != math.Float64bits(want.Data[i]) {
+						t.Fatalf("%s %s %dx%d: Data[%d] = %v, legacy %v",
+							name, im.what, wh[0], wh[1], i, got.Data[i], want.Data[i])
+					}
+					if im.what == "all-nan" && want.Data[i] != 0 {
+						t.Fatalf("%s %dx%d: all-NaN image voted %v into Data[%d]", name, wh[0], wh[1], want.Data[i], i)
+					}
 				}
 			}
 		}

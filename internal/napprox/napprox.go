@@ -481,7 +481,8 @@ func (e *Extractor) quantizePlane(qp, pix []float64) {
 // pixel plane, clamping neighbor reads at image borders exactly like
 // imgproc's replicate padding. With the LUT present the vote decision
 // is one table read per pixel; otherwise the projection scan of
-// votePixel runs inline with identical operation order.
+// votePixel runs inline with identical operation order. Either way a
+// gradient with a NaN component votes nothing.
 //
 //pcnn:hotpath
 func (e *Extractor) argmaxPass(g *hog.Grid, qp []float64, iw, ih int) {
@@ -518,7 +519,12 @@ func (e *Extractor) argmaxPass(g *hog.Grid, qp []float64, iw, ih int) {
 					iy := qp[rowU+x] - qp[rowD+x]
 					if lut != nil {
 						// Quantized gradients are integral floats in
-						// [-lutW, lutW]; the conversion is exact.
+						// [-lutW, lutW]; the conversion is exact. A NaN
+						// pixel quantizes to NaN, and a gradient with a
+						// NaN component votes nothing, as in argmaxVote.
+						if math.IsNaN(ix) || math.IsNaN(iy) {
+							continue
+						}
 						if v := lut[(int(ix)+lutW)*side+int(iy)+lutW]; v >= 0 {
 							hist[v]++
 						}
