@@ -90,15 +90,15 @@ bench:
 bench-obs:
 	BENCH_OBS_OUT=BENCH_obs.json $(GO) test -bench=. -benchmem -run '^$$'
 
-# bench-sim runs only the simulator engine benchmarks (dense vs sparse
-# Step at several activity levels, the sharded tick, the >4096-core
+# bench-sim runs only the simulator benchmarks (the event-driven Step
+# at several activity levels, the sharded tick, the >4096-core
 # multi-chip shard-count sweep, plus the NApprox corelet run) and
 # writes the telemetry snapshot — including the
 # truenorth.active_cores_per_tick histogram and the per-shard-count
 # truenorth.shard<N>.ticks_per_sec gauges — to BENCH_sim.json,
 # seeding the simulator perf trajectory.
 bench-sim:
-	BENCH_SIM_OUT=BENCH_sim.json $(GO) test -bench 'BenchmarkStep(Dense|Sparse|Sharded)|BenchmarkMultiChipShardSweep|BenchmarkRunNApprox' -benchmem -run '^$$' .
+	BENCH_SIM_OUT=BENCH_sim.json $(GO) test -bench 'BenchmarkStep(Sparse|Sharded)|BenchmarkMultiChipShardSweep|BenchmarkRunNApprox' -benchmem -run '^$$' .
 
 # bench-detect runs the detection-engine benchmarks (single image and
 # batch at workers 1/4/NumCPU, the 0-alloc inner scan loop, the
@@ -122,7 +122,7 @@ bench-detect:
 BENCH_SLACK ?= 4
 bench-gate:
 	BENCH_DETECT_OUT=/tmp/pcnn-bench-detect.json $(GO) test ./internal/detect -bench 'BenchmarkDetect(Image|All|ScanInner|Sequence)|BenchmarkGridInto|BenchmarkDescriptorInto|BenchmarkLinearScores' -benchtime=1x -benchmem -run '^$$'
-	BENCH_SIM_OUT=/tmp/pcnn-bench-sim.json $(GO) test -bench 'BenchmarkStep(Dense|Sparse|Sharded)|BenchmarkMultiChipShardSweep|BenchmarkRunNApprox' -benchtime=1x -benchmem -run '^$$' .
+	BENCH_SIM_OUT=/tmp/pcnn-bench-sim.json $(GO) test -bench 'BenchmarkStep(Sparse|Sharded)|BenchmarkMultiChipShardSweep|BenchmarkRunNApprox' -benchtime=1x -benchmem -run '^$$' .
 	$(GO) run ./cmd/pcnn-bench -slack $(BENCH_SLACK) \
 		-baseline BENCH_detect.json -fresh /tmp/pcnn-bench-detect.json \
 		-baseline BENCH_sim.json -fresh /tmp/pcnn-bench-sim.json

@@ -33,23 +33,16 @@ func main() {
 	exp := flag.String("exp", "all", "experiment id: table1, table2, fig4, fig5, fig6, absorbed, hwval, throughput, all")
 	full := flag.Bool("full", false, "use the paper-protocol-sized configuration (slow)")
 	cells := flag.Int("hwcells", 200, "cells for the hardware/software validation")
-	engine := flag.String("engine", "sparse", "truenorth execution engine: dense or sparse (bit-identical; sparse skips idle cores)")
 	workers := flag.Int("workers", 0, "detection scan workers (0 or 1 sequential; clamped to GOMAXPROCS; output is worker-count invariant; with -metrics, per-image busy/wall fractions land in the detect.worker_utilization histogram)")
 	shards := flag.Int("shards", 1, "shard each simulator's core graph across this many goroutines (bit-identical to -shards 1)")
 	partName := flag.String("partition", "block", "shard partitioner: block or mincut")
 	tele.Register(flag.CommandLine)
 	flag.Parse()
-	eng, err := truenorth.ParseEngine(*engine)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	}
 	strategy, err := truenorth.ParsePartitionStrategy(*partName)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
-	experiments.SetSimulatorEngine(eng)
 	experiments.SetSimulatorShards(*shards, strategy)
 	tele.MustStart()
 

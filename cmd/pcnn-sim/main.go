@@ -31,7 +31,6 @@ func main() {
 	spikesPath := flag.String("spikes", "", "input spike schedule: lines of 'tick pin'")
 	ticks := flag.Int("ticks", 100, "ticks to simulate")
 	seed := flag.Int64("seed", 1, "stochastic threshold seed")
-	engineName := flag.String("engine", "sparse", "execution engine: dense or sparse (bit-identical; sparse skips idle cores)")
 	shards := flag.Int("shards", 1, "shard the core graph across this many worker goroutines (bit-identical to -shards 1)")
 	partName := flag.String("partition", "block", "shard partitioner: block (contiguous core ranges) or mincut (route-graph refinement)")
 	export := flag.String("export-napprox", "", "write the NApprox cell corelet as a model file and exit")
@@ -39,10 +38,6 @@ func main() {
 	var tele obs.CLI
 	tele.Register(flag.CommandLine)
 	flag.Parse()
-	engine, err := truenorth.ParseEngine(*engineName)
-	if err != nil {
-		fail(err)
-	}
 	strategy, err := truenorth.ParsePartitionStrategy(*partName)
 	if err != nil {
 		fail(err)
@@ -57,7 +52,7 @@ func main() {
 		}
 	case *demo:
 		sp := obs.StartSpan("pcnn-sim.demo")
-		err := runDemo(engine, *shards, strategy)
+		err := runDemo(*shards, strategy)
 		sp.End()
 		if err != nil {
 			_ = tele.Finish()
@@ -65,7 +60,7 @@ func main() {
 		}
 	case *modelPath != "":
 		sp := obs.StartSpan("pcnn-sim.run")
-		err := runModel(*modelPath, *spikesPath, *ticks, *seed, engine, *shards, strategy)
+		err := runModel(*modelPath, *spikesPath, *ticks, *seed, *shards, strategy)
 		sp.End()
 		if err != nil {
 			_ = tele.Finish()
@@ -100,7 +95,7 @@ func exportNApprox(path string) error {
 	return nil
 }
 
-func runModel(modelPath, spikesPath string, ticks int, seed int64, engine truenorth.Engine, shards int, strategy truenorth.PartitionStrategy) error {
+func runModel(modelPath, spikesPath string, ticks int, seed int64, shards int, strategy truenorth.PartitionStrategy) error {
 	f, err := os.Open(modelPath)
 	if err != nil {
 		return err
@@ -143,7 +138,7 @@ func runModel(modelPath, spikesPath string, ticks int, seed int64, engine trueno
 		}
 	}
 
-	sim, err := truenorth.NewSimulator(model, seed, truenorth.WithEngine(engine),
+	sim, err := truenorth.NewSimulator(model, seed,
 		truenorth.WithShards(shards), truenorth.WithPartitionStrategy(strategy))
 	if err != nil {
 		return err
@@ -170,7 +165,7 @@ func runModel(modelPath, spikesPath string, ticks int, seed int64, engine trueno
 	return nil
 }
 
-func runDemo(engine truenorth.Engine, shards int, strategy truenorth.PartitionStrategy) error {
+func runDemo(shards int, strategy truenorth.PartitionStrategy) error {
 	cfg := napprox.TrueNorthConfig()
 	mod, err := napprox.BuildCellModule(cfg)
 	if err != nil {
@@ -201,7 +196,7 @@ func runDemo(engine truenorth.Engine, shards int, strategy truenorth.PartitionSt
 	fmt.Printf("reloaded: %d cores\n", model.NumCores())
 
 	// Run a horizontal ramp cell through the reloaded model.
-	sim, err := truenorth.NewSimulator(model, 1, truenorth.WithEngine(engine),
+	sim, err := truenorth.NewSimulator(model, 1,
 		truenorth.WithShards(shards), truenorth.WithPartitionStrategy(strategy))
 	if err != nil {
 		return err

@@ -69,7 +69,8 @@ func TestLoadProgramSelf(t *testing.T) {
 // TestCallGraphSelf checks the resolved edges the hotalloc proof rests
 // on: the interface calls in the detection row scorer fan out to every
 // DescriptorInto and every LinearScoresInto implementation (CHA), and
-// Step's call to the unexported fire method resolves statically.
+// the simulator tick body's call to the unexported fire method
+// resolves statically.
 func TestCallGraphSelf(t *testing.T) {
 	g := selfProgram(t).CallGraph()
 
@@ -111,9 +112,9 @@ func TestCallGraphSelf(t *testing.T) {
 		t.Errorf("scoreRun extractor fan-out = %v, want %v", descCallees, want)
 	}
 
-	step := findNode("(*truenorth.Simulator).Step")
+	tick := findNode("(*truenorth.Simulator).runShardTick")
 	foundFire, foundExternal := false, false
-	for _, site := range step.Calls {
+	for _, site := range tick.Calls {
 		for _, c := range site.Callees {
 			if c.Obj.Name() == "fire" && !site.Dynamic {
 				foundFire = true
@@ -124,7 +125,7 @@ func TestCallGraphSelf(t *testing.T) {
 		}
 	}
 	if !foundFire {
-		t.Error("Step -> (*Core).fire static edge missing")
+		t.Error("runShardTick -> (*Core).fire static edge missing")
 	}
 	// obs is a module package, so obs.Enabled must be a resolved module
 	// edge, never classified external.

@@ -38,23 +38,11 @@ import (
 	"repro/internal/truenorth"
 )
 
-// simEngine selects the truenorth execution engine for every
-// experiment that instantiates a simulator. The engines are
-// bit-identical, so this only affects speed; cmd/pcnn-eval exposes it
-// as -engine for benchmarking the two against each other.
-var simEngine = truenorth.EngineSparse
-
-// SetSimulatorEngine switches the execution engine used by subsequent
-// experiment runs (process-wide; not safe to flip concurrently with a
-// running experiment).
-func SetSimulatorEngine(e truenorth.Engine) { simEngine = e }
-
 // simShards / simPartition select the sharded execution mode for every
 // experiment simulator: the core graph is split across simShards
 // worker goroutines using the simPartition strategy. Sharded execution
-// is bit-identical to single-goroutine execution, so — like the engine
-// choice — this only affects speed; cmd/pcnn-eval exposes both as
-// -shards / -partition.
+// is bit-identical to single-goroutine execution, so this only affects
+// speed; cmd/pcnn-eval exposes both as -shards / -partition.
 var (
 	simShards    = 1
 	simPartition = truenorth.PartitionBlock
@@ -69,11 +57,10 @@ func SetSimulatorShards(n int, strategy truenorth.PartitionStrategy) {
 	simPartition = strategy
 }
 
-// newSimulator builds a simulator on the configured engine and shard
-// count. Callers should defer sim.Close() to join shard workers.
+// newSimulator builds a simulator with the configured shard count.
+// Callers should defer sim.Close() to join shard workers.
 func newSimulator(m *truenorth.Model, seed int64) (*truenorth.Simulator, error) {
 	return truenorth.NewSimulator(m, seed,
-		truenorth.WithEngine(simEngine),
 		truenorth.WithShards(simShards),
 		truenorth.WithPartitionStrategy(simPartition))
 }

@@ -23,21 +23,3 @@ func WritePNG(w io.Writer, m *Image) error {
 	}
 	return png.Encode(w, img)
 }
-
-// ReadPNG decodes a PNG (any color model; converted to grayscale via
-// the standard luma weights) into an Image with pixels in [0, 1].
-func ReadPNG(r io.Reader) (*Image, error) {
-	img, err := png.Decode(r)
-	if err != nil {
-		return nil, err
-	}
-	b := img.Bounds()
-	m := New(b.Dx(), b.Dy())
-	for y := 0; y < m.H; y++ {
-		for x := 0; x < m.W; x++ {
-			g := color.GrayModel.Convert(img.At(b.Min.X+x, b.Min.Y+y)).(color.Gray)
-			m.Pix[y*m.W+x] = float64(g.Y) / 255
-		}
-	}
-	return m, nil
-}

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"reflect"
 	"sort"
 	"testing"
 
@@ -21,9 +20,9 @@ var update = flag.Bool("update", false, "rewrite golden spike-trace files")
 // agreement with the software model), these pin the exact tick-by-tick
 // firing pattern of every neuron in the module, so any change to
 // simulator dynamics, corelet wiring, or the noise contract shows up as
-// a raster diff rather than a silent drift. Each case runs on BOTH
-// engines and the traces must be bit-identical before either is
-// compared to the golden file.
+// a raster diff rather than a silent drift. Each case runs on the
+// default one-shard simulator and on three min-cut shards, and both
+// traces and histograms are compared to the golden file.
 //
 // Regenerate with: go test ./internal/napprox -run GoldenSpikeTrace -update
 
@@ -75,28 +74,18 @@ func TestGoldenSpikeTrace(t *testing.T) {
 				}
 				return mod, tr, hist
 			}
-			mod, trDense, histDense := run(truenorth.WithEngine(truenorth.EngineDense))
-			_, trSparse, histSparse := run(truenorth.WithEngine(truenorth.EngineSparse))
-			_, trShard, histShard := run(truenorth.WithEngine(truenorth.EngineSparse),
-				truenorth.WithShards(3), truenorth.WithPartitionStrategy(truenorth.PartitionMinCut))
-			if !reflect.DeepEqual(trDense.Events, trSparse.Events) {
-				t.Fatalf("engines diverged on %s: dense %d events, sparse %d",
-					tc.name, len(trDense.Events), len(trSparse.Events))
-			}
-			if !reflect.DeepEqual(trDense.Events, trShard.Events) {
-				t.Fatalf("sharded run diverged on %s: dense %d events, sharded %d",
-					tc.name, len(trDense.Events), len(trShard.Events))
-			}
-			if !reflect.DeepEqual(histDense, histSparse) {
-				t.Fatalf("engine histograms diverged: %v vs %v", histDense, histSparse)
-			}
-			if !reflect.DeepEqual(histDense, histShard) {
-				t.Fatalf("sharded histograms diverged: %v vs %v", histDense, histShard)
-			}
+			mod, tr, hist := run()
+			_, trShard, histShard := run(truenorth.WithShards(3),
+				truenorth.WithPartitionStrategy(truenorth.PartitionMinCut))
 
-			got := formatGoldenTrace(mod, trDense, histDense)
+			got := formatGoldenTrace(mod, tr, hist)
+			gotShard := formatGoldenTrace(mod, trShard, histShard)
 			golden := filepath.Join("testdata", "trace_"+tc.name+".golden")
 			if *update {
+				if !bytes.Equal(got, gotShard) {
+					t.Fatalf("3-shard run diverged from the one-shard run on %s:\n%s",
+						tc.name, firstTraceDiff(got, gotShard))
+				}
 				if err := os.MkdirAll("testdata", 0o755); err != nil {
 					t.Fatal(err)
 				}
@@ -113,7 +102,7 @@ func TestGoldenSpikeTrace(t *testing.T) {
 				t.Errorf("spike trace drifted from golden %s:\n%s\nif the change is intended, regenerate with -update",
 					golden, firstTraceDiff(want, got))
 			}
-			if gotShard := formatGoldenTrace(mod, trShard, histShard); !bytes.Equal(gotShard, want) {
+			if !bytes.Equal(gotShard, want) {
 				t.Errorf("sharded spike trace drifted from golden %s:\n%s",
 					golden, firstTraceDiff(want, gotShard))
 			}

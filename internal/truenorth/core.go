@@ -191,8 +191,8 @@ func restlessParams(p NeuronParams) bool {
 
 // idleActive reports whether the core must be evaluated on every tick
 // regardless of input: it hosts restless neurons, or stochastic
-// neurons whose noise stream has to advance in lockstep with the
-// dense engine.
+// neurons whose noise stream has to advance on every tick, as it would
+// if every core were evaluated.
 func (c *Core) idleActive() bool { return c.restless > 0 || c.stochastic > 0 }
 
 // NeedsNoise reports whether any neuron on the core has an active

@@ -7,10 +7,11 @@ import (
 	"testing"
 )
 
-// Differential property test: the dense and event-driven engines must
-// be bit-identical on arbitrary models. randomModel deliberately
-// generates the hostile corners the sparse engine's skip predicate has
-// to get right — nonzero and negative leaks, positive floors,
+// Differential property tests: the event-driven simulator, at every
+// shard count, must be bit-identical to the dense oracle
+// (oracle_test.go) on arbitrary models. randomModel deliberately
+// generates the hostile corners the worklist's skip predicate has to
+// get right — nonzero and negative leaks, positive floors,
 // non-positive thresholds, both reset modes, stochastic neurons,
 // multi-tick axonal delays, and external/disconnected routes.
 
@@ -99,22 +100,17 @@ func randomModelN(t *testing.T, rng *rand.Rand, maxCores int) *Model {
 	return m
 }
 
-// engineRun drives model on the given engine for ticks and returns the
-// full trace, accumulated output counts, energy stats and final
-// membrane potentials.
-func engineRun(t *testing.T, m *Model, seed int64, engine Engine, ticks int,
-	inputFn func(int) []int) ([]TraceEvent, []int, EnergyStats, [][]int32) {
-	t.Helper()
-	sim, err := NewSimulator(m, seed, WithEngine(engine))
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr := NewTrace()
-	sim.SetTrace(tr)
-	counts, err := sim.Run(ticks, inputFn)
-	if err != nil {
-		t.Fatal(err)
-	}
+// runResult is everything two runs of one model are compared on: the
+// full trace, per-pin output counts, energy stats and final membrane
+// potentials.
+type runResult struct {
+	events []TraceEvent
+	counts []int
+	energy EnergyStats
+	pots   [][]int32
+}
+
+func potentials(m *Model) [][]int32 {
 	pots := make([][]int32, m.NumCores())
 	for c := 0; c < m.NumCores(); c++ {
 		core := m.Core(c)
@@ -123,13 +119,60 @@ func engineRun(t *testing.T, m *Model, seed int64, engine Engine, ticks int,
 			pots[c][n] = core.Potential(n)
 		}
 	}
-	return tr.Events, counts, CollectEnergy(sim), pots
+	return pots
 }
 
-// TestDenseSparseEquivalence is the engine-equivalence property test:
-// ~50 random models, 256 ticks each, sparse vs dense must agree on the
-// full spike trace, per-pin output counts, EnergyStats, and every
-// final membrane potential.
+// oracleRun drives the dense oracle (oracle_test.go) on m for ticks.
+func oracleRun(t testing.TB, m *Model, seed int64, ticks int, inputFn func(int) []int) runResult {
+	t.Helper()
+	o := newDenseOracle(t, m, seed)
+	counts, err := o.run(ticks, inputFn)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return runResult{o.events, counts, o.energy(), potentials(m)}
+}
+
+// simRun drives a simulator built with opts on m for ticks and joins
+// its workers before returning.
+func simRun(t testing.TB, m *Model, seed int64, ticks int, inputFn func(int) []int, opts ...Option) runResult {
+	t.Helper()
+	sim, err := NewSimulator(m, seed, opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sim.Close()
+	tr := NewTrace()
+	sim.SetTrace(tr)
+	counts, err := sim.Run(ticks, inputFn)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return runResult{tr.Events, counts, CollectEnergy(sim), potentials(m)}
+}
+
+// sameRun fails t at the first way got differs from the reference run.
+func sameRun(t testing.TB, what string, want, got runResult) {
+	t.Helper()
+	if !reflect.DeepEqual(want.events, got.events) {
+		t.Fatalf("%s: spike traces diverged: reference %d events, simulator %d", what, len(want.events), len(got.events))
+	}
+	if !reflect.DeepEqual(want.counts, got.counts) {
+		t.Fatalf("%s: output counts diverged: %v vs %v", what, want.counts, got.counts)
+	}
+	if want.energy != got.energy {
+		t.Fatalf("%s: energy stats diverged: %+v vs %+v", what, want.energy, got.energy)
+	}
+	if !reflect.DeepEqual(want.pots, got.pots) {
+		t.Fatalf("%s: final membrane potentials diverged", what)
+	}
+}
+
+// TestDenseSparseEquivalence is the equivalence property test: ~50
+// random models, 256 ticks each; the event-driven simulator at every
+// shard count must agree with the dense oracle on the full spike
+// trace, per-pin output counts, EnergyStats, and every final membrane
+// potential.
 func TestDenseSparseEquivalence(t *testing.T) {
 	const models, ticks = 50, 256
 	rng := rand.New(rand.NewSource(20260806))
@@ -137,28 +180,15 @@ func TestDenseSparseEquivalence(t *testing.T) {
 		modelSeed := rng.Int63()
 		noiseSeed := rng.Int63()
 		t.Run(fmt.Sprintf("model%02d", i), func(t *testing.T) {
-			// Two identically-built models so neither run sees the
-			// other's mutated core state.
-			mDense := randomModel(t, rand.New(rand.NewSource(modelSeed)))
-			mSparse := randomModel(t, rand.New(rand.NewSource(modelSeed)))
-			inDense := sparseSchedule(mDense.NumInputs(), modelSeed)
-			inSparse := sparseSchedule(mSparse.NumInputs(), modelSeed)
-
-			evD, ctD, enD, vD := engineRun(t, mDense, noiseSeed, EngineDense, ticks, inDense)
-			evS, ctS, enS, vS := engineRun(t, mSparse, noiseSeed, EngineSparse, ticks, inSparse)
-
-			if !reflect.DeepEqual(evD, evS) {
-				t.Fatalf("spike traces diverged: dense %d events, sparse %d events (model seed %d)",
-					len(evD), len(evS), modelSeed)
-			}
-			if !reflect.DeepEqual(ctD, ctS) {
-				t.Fatalf("output counts diverged: %v vs %v", ctD, ctS)
-			}
-			if enD != enS {
-				t.Fatalf("energy stats diverged: %+v vs %+v", enD, enS)
-			}
-			if !reflect.DeepEqual(vD, vS) {
-				t.Fatalf("final membrane potentials diverged (model seed %d)", modelSeed)
+			// Each run gets its own identically built model, so no run
+			// sees another's mutated core state.
+			build := func() *Model { return randomModel(t, rand.New(rand.NewSource(modelSeed))) }
+			mRef := build()
+			want := oracleRun(t, mRef, noiseSeed, ticks, sparseSchedule(mRef.NumInputs(), modelSeed))
+			for _, nsh := range shardSweepCounts() {
+				m := build()
+				got := simRun(t, m, noiseSeed, ticks, sparseSchedule(m.NumInputs(), modelSeed), WithShards(nsh))
+				sameRun(t, fmt.Sprintf("shards=%d (model seed %d)", nsh, modelSeed), want, got)
 			}
 		})
 	}
@@ -183,14 +213,14 @@ func sparseSchedule(nInputs int, seed int64) func(int) []int {
 	}
 }
 
-// shardSweepCounts are the shard counts the sharded-equivalence
-// property tests sweep (1 exercises the clamp back to the unsharded
-// engine; 16 usually exceeds the core count and clamps to it). The
-// race lane runs a reduced sweep: the detector's slowdown is large and
-// the interleavings it cares about are the same at any shard count.
+// shardSweepCounts are the shard counts the equivalence property tests
+// sweep (1 is the default, inline shard; 16 usually exceeds the core
+// count and clamps to it). The race lane runs a reduced sweep: the
+// detector's slowdown is large and the interleavings it cares about
+// are the same at any count above one.
 func shardSweepCounts() []int {
 	if raceEnabled {
-		return []int{2, 8}
+		return []int{1, 2, 8}
 	}
 	return []int{1, 2, 3, 8, 16}
 }
@@ -212,41 +242,12 @@ func forceResetMode(t *testing.T, m *Model, mode ResetMode) {
 	}
 }
 
-// shardedRun is engineRun on a sharded simulator: same outputs, with
-// the shard count and partition strategy applied and the workers
-// joined before returning.
-func shardedRun(t *testing.T, m *Model, seed int64, engine Engine, shards int,
-	strategy PartitionStrategy, ticks int, inputFn func(int) []int) ([]TraceEvent, []int, EnergyStats, [][]int32) {
-	t.Helper()
-	sim, err := NewSimulator(m, seed, WithEngine(engine), WithShards(shards), WithPartitionStrategy(strategy))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sim.Close()
-	tr := NewTrace()
-	sim.SetTrace(tr)
-	counts, err := sim.Run(ticks, inputFn)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pots := make([][]int32, m.NumCores())
-	for c := 0; c < m.NumCores(); c++ {
-		core := m.Core(c)
-		pots[c] = make([]int32, core.Neurons)
-		for n := 0; n < core.Neurons; n++ {
-			pots[c][n] = core.Potential(n)
-		}
-	}
-	return tr.Events, counts, CollectEnergy(sim), pots
-}
-
 // TestShardedEquivalence is the shard-sweep property test: random
 // hostile models (stochastic neurons included), both reset modes
 // forced, across shard counts {1,2,3,8,16} and both partition
 // strategies, must produce spike-for-spike identical traces, output
-// counts, energy stats and final membrane potentials vs the
-// single-shard sparse engine. One shard count additionally runs the
-// dense engine sharded, covering the all-cores-scheduled path.
+// counts, energy stats and final membrane potentials to the dense
+// oracle.
 func TestShardedEquivalence(t *testing.T) {
 	models, ticks := 50, 128
 	if raceEnabled {
@@ -264,8 +265,7 @@ func TestShardedEquivalence(t *testing.T) {
 					return m
 				}
 				mRef := build()
-				evR, ctR, enR, vR := engineRun(t, mRef, noiseSeed, EngineSparse, ticks,
-					sparseSchedule(mRef.NumInputs(), modelSeed))
+				want := oracleRun(t, mRef, noiseSeed, ticks, sparseSchedule(mRef.NumInputs(), modelSeed))
 				for _, nsh := range shardSweepCounts() {
 					// Alternate partitioners across the sweep; identity
 					// must hold for any assignment.
@@ -273,38 +273,19 @@ func TestShardedEquivalence(t *testing.T) {
 					if nsh%2 == 1 {
 						strategy = PartitionMinCut
 					}
-					engines := []Engine{EngineSparse}
-					if nsh == 3 {
-						engines = append(engines, EngineDense)
-					}
-					for _, eng := range engines {
-						mSh := build()
-						ev, ct, en, v := shardedRun(t, mSh, noiseSeed, eng, nsh, strategy, ticks,
-							sparseSchedule(mSh.NumInputs(), modelSeed))
-						if !reflect.DeepEqual(evR, ev) {
-							t.Fatalf("mode=%v shards=%d engine=%v: trace diverged (%d vs %d events, model seed %d)",
-								mode, nsh, eng, len(evR), len(ev), modelSeed)
-						}
-						if !reflect.DeepEqual(ctR, ct) {
-							t.Fatalf("mode=%v shards=%d engine=%v: output counts diverged: %v vs %v", mode, nsh, eng, ctR, ct)
-						}
-						if enR != en {
-							t.Fatalf("mode=%v shards=%d engine=%v: energy stats diverged: %+v vs %+v", mode, nsh, eng, enR, en)
-						}
-						if !reflect.DeepEqual(vR, v) {
-							t.Fatalf("mode=%v shards=%d engine=%v: final membrane potentials diverged (model seed %d)",
-								mode, nsh, eng, modelSeed)
-						}
-					}
+					m := build()
+					got := simRun(t, m, noiseSeed, ticks, sparseSchedule(m.NumInputs(), modelSeed),
+						WithShards(nsh), WithPartitionStrategy(strategy))
+					sameRun(t, fmt.Sprintf("mode=%v shards=%d (model seed %d)", mode, nsh, modelSeed), want, got)
 				}
 			}
 		})
 	}
 }
 
-// TestShardedEquivalenceAfterReset pins the sharded engine across the
-// run -> Reset -> rerun cycle the extraction pipelines use: both runs
-// must match the unsharded engine's corresponding runs exactly
+// TestShardedEquivalenceAfterReset pins the sharded simulator across
+// the run -> Reset -> rerun cycle the extraction pipelines use: both
+// runs must match the one-shard simulator's corresponding runs exactly
 // (mailboxes, per-shard counters and ring lists all clear; per-core
 // noise streams keep their positions on every shard).
 func TestShardedEquivalenceAfterReset(t *testing.T) {
@@ -348,40 +329,42 @@ func TestShardedEquivalenceAfterReset(t *testing.T) {
 
 // TestDenseSparseEquivalenceAfterReset pins that the equivalence
 // survives the run -> Reset -> rerun cycle the extraction pipelines
-// use (per-core noise streams keep their positions across Reset on
-// both engines).
+// use (per-core noise streams keep their positions across Reset in the
+// oracle and the simulator alike), at every shard count.
 func TestDenseSparseEquivalenceAfterReset(t *testing.T) {
 	const ticks = 128
-	mrng := rand.New(rand.NewSource(7))
-	mDense := randomModel(t, mrng)
-	mrng = rand.New(rand.NewSource(7))
-	mSparse := randomModel(t, mrng)
+	build := func() *Model { return randomModel(t, rand.New(rand.NewSource(7))) }
+	in := func(m *Model) func(int) []int { return sparseSchedule(m.NumInputs(), 7) }
 
-	run := func(m *Model, engine Engine) ([]TraceEvent, []TraceEvent) {
-		sim, err := NewSimulator(m, 99, WithEngine(engine))
+	mRef := build()
+	o := newDenseOracle(t, mRef, 99)
+	var want [2]runResult
+	for r := range want {
+		counts, err := o.run(ticks, in(mRef))
 		if err != nil {
 			t.Fatal(err)
 		}
-		in := sparseSchedule(m.NumInputs(), 7)
-		tr1 := NewTrace()
-		sim.SetTrace(tr1)
-		if _, err := sim.Run(ticks, in); err != nil {
+		want[r] = runResult{o.events, counts, o.energy(), potentials(mRef)}
+		o.reset()
+	}
+
+	for _, nsh := range shardSweepCounts() {
+		m := build()
+		sim, err := NewSimulator(m, 99, WithShards(nsh))
+		if err != nil {
 			t.Fatal(err)
 		}
-		sim.Reset()
-		tr2 := NewTrace()
-		sim.SetTrace(tr2)
-		if _, err := sim.Run(ticks, in); err != nil {
-			t.Fatal(err)
+		for r := range want {
+			tr := NewTrace()
+			sim.SetTrace(tr)
+			counts, err := sim.Run(ticks, in(m))
+			if err != nil {
+				t.Fatal(err)
+			}
+			what := fmt.Sprintf("shards=%d run %d", nsh, r+1)
+			sameRun(t, what, want[r], runResult{tr.Events, counts, CollectEnergy(sim), potentials(m)})
+			sim.Reset()
 		}
-		return tr1.Events, tr2.Events
-	}
-	d1, d2 := run(mDense, EngineDense)
-	s1, s2 := run(mSparse, EngineSparse)
-	if !reflect.DeepEqual(d1, s1) {
-		t.Fatal("first runs diverged between engines")
-	}
-	if !reflect.DeepEqual(d2, s2) {
-		t.Fatal("post-Reset runs diverged between engines")
+		sim.Close()
 	}
 }

@@ -4,52 +4,14 @@ import (
 	"testing"
 )
 
-func TestParseEngine(t *testing.T) {
-	for _, tc := range []struct {
-		in   string
-		want Engine
-		ok   bool
-	}{
-		{"dense", EngineDense, true},
-		{"sparse", EngineSparse, true},
-		{"", 0, false},
-		{"Dense", 0, false},
-		{"parallel", 0, false},
-	} {
-		got, err := ParseEngine(tc.in)
-		if (err == nil) != tc.ok {
-			t.Errorf("ParseEngine(%q) err = %v, want ok=%v", tc.in, err, tc.ok)
-			continue
-		}
-		if tc.ok && got != tc.want {
-			t.Errorf("ParseEngine(%q) = %v, want %v", tc.in, got, tc.want)
-		}
-	}
-	if EngineDense.String() != "dense" || EngineSparse.String() != "sparse" {
-		t.Error("Engine.String does not round-trip flag names")
-	}
-}
-
-func TestEngineSelection(t *testing.T) {
-	m := buildRelay(t)
-	sim, err := NewSimulator(m, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sim.Engine() != EngineSparse {
-		t.Errorf("default engine = %v, want sparse", sim.Engine())
-	}
-	sim, err = NewSimulator(m, 1, WithEngine(EngineDense))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sim.Engine() != EngineDense {
-		t.Errorf("engine = %v, want dense", sim.Engine())
-	}
+// worklist returns the cores the simulator's single shard evaluated
+// on the last tick.
+func worklist(sim *Simulator) []int {
+	return append([]int(nil), sim.shards.shards[0].work...)
 }
 
 // TestSparseSkipsIdleCores pins the engine's whole point: on a quiet
-// deterministic model the event-driven engine schedules no cores,
+// deterministic model the event-driven worklist schedules no cores,
 // and spike arrival wakes exactly the cores involved.
 func TestSparseSkipsIdleCores(t *testing.T) {
 	m := buildRelay(t) // 2 cores, default params (leak 0, threshold 1)
@@ -58,22 +20,22 @@ func TestSparseSkipsIdleCores(t *testing.T) {
 		t.Fatal(err)
 	}
 	sim.Step()
-	if n := len(sim.worklist); n != 0 {
+	if n := len(worklist(sim)); n != 0 {
 		t.Fatalf("idle tick scheduled %d cores, want 0", n)
 	}
 	// An injected spike wakes core 0 on the next tick; its relayed
 	// spike wakes core 1 the tick after; then everything goes quiet.
 	_ = sim.InjectInput(0)
 	sim.Step()
-	if got := append([]int(nil), sim.worklist...); len(got) != 1 || got[0] != 0 {
+	if got := worklist(sim); len(got) != 1 || got[0] != 0 {
 		t.Fatalf("after inject, worklist = %v, want [0]", got)
 	}
 	sim.Step()
-	if got := append([]int(nil), sim.worklist...); len(got) != 1 || got[0] != 1 {
+	if got := worklist(sim); len(got) != 1 || got[0] != 1 {
 		t.Fatalf("relay tick worklist = %v, want [1]", got)
 	}
 	sim.Step()
-	if n := len(sim.worklist); n != 0 {
+	if n := len(worklist(sim)); n != 0 {
 		t.Fatalf("post-relay tick scheduled %d cores, want 0", n)
 	}
 }
@@ -105,7 +67,7 @@ func TestSparseAlwaysSchedulesRestlessCores(t *testing.T) {
 				t.Fatal(err)
 			}
 			sim.Step()
-			if len(sim.worklist) != 1 {
+			if len(worklist(sim)) != 1 {
 				t.Fatalf("%s core skipped on an idle tick", name)
 			}
 		})
@@ -113,30 +75,28 @@ func TestSparseAlwaysSchedulesRestlessCores(t *testing.T) {
 }
 
 // TestStepSteadyStateAllocs locks in the zero-allocation steady-state
-// tick for both engines: after warmup, Step (with injection) must not
-// touch the heap.
+// tick of the default one-shard simulator: after warmup, Step (with
+// injection) must not touch the heap.
 func TestStepSteadyStateAllocs(t *testing.T) {
-	for _, engine := range []Engine{EngineDense, EngineSparse} {
-		t.Run(engine.String(), func(t *testing.T) {
-			m := buildRelay(t)
-			sim, err := NewSimulator(m, 1, WithEngine(engine))
-			if err != nil {
-				t.Fatal(err)
-			}
-			// Warm up scratch buffers (fired slices grow once).
-			for i := 0; i < 4; i++ {
-				_ = sim.InjectInput(0)
-				sim.Step()
-			}
-			avg := testing.AllocsPerRun(100, func() {
-				_ = sim.InjectInput(0)
-				sim.Step()
-			})
-			if avg != 0 {
-				t.Errorf("steady-state Step allocates %.2f objects/op, want 0", avg)
-			}
+	t.Run("sparse", func(t *testing.T) {
+		m := buildRelay(t)
+		sim, err := NewSimulator(m, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Warm up scratch buffers (fired slices grow once).
+		for i := 0; i < 4; i++ {
+			_ = sim.InjectInput(0)
+			sim.Step()
+		}
+		avg := testing.AllocsPerRun(100, func() {
+			_ = sim.InjectInput(0)
+			sim.Step()
 		})
-	}
+		if avg != 0 {
+			t.Errorf("steady-state Step allocates %.2f objects/op, want 0", avg)
+		}
+	})
 }
 
 // TestDirtyRingClearing verifies the dirty-word bookkeeping: a slot's

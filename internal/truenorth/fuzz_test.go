@@ -2,7 +2,7 @@ package truenorth
 
 import (
 	"bytes"
-	"reflect"
+	"fmt"
 	"testing"
 
 	"repro/internal/analysis"
@@ -123,15 +123,16 @@ func FuzzModelRoundTrip(f *testing.F) {
 	})
 }
 
-// FuzzShardEquivalence extends the engine-equivalence fuzz contract to
-// the sharded engine: for arbitrary model bytes (anything LoadModel
+// FuzzShardEquivalence extends the equivalence fuzz contract across
+// shard counts: for arbitrary model bytes (anything LoadModel
 // accepts), an arbitrary shard count, tick count and input schedule,
-// the dense engine, the sparse engine, and the sparse engine sharded
-// must produce byte-identical traces, output counts and energy stats.
-// The shard count folds into [0, 2*ChipCores/256] before the
-// simulator's own clamp so the fuzzer exercises both the n<=1 and
-// n>NumCores edges; odd counts use the min-cut partitioner so both
-// partition strategies stay under fuzz.
+// the default one-shard simulator and the simulator at that shard
+// count must both produce the dense oracle's trace, output counts,
+// energy stats and final membrane potentials. The shard count folds
+// into [0, 2*ChipCores/256] before the simulator's own clamp so the
+// fuzzer exercises both the n<=1 and n>NumCores edges; odd counts use
+// the min-cut partitioner so both partition strategies stay under
+// fuzz.
 func FuzzShardEquivalence(f *testing.F) {
 	f.Add(fuzzModelJSON(f), int64(1), uint8(3), uint8(40), []byte{0, 0, 1, 1, 5, 0, 9, 1})
 	f.Add(fuzzModelJSON(f), int64(-9), uint8(2), uint8(17), []byte{})
@@ -156,55 +157,36 @@ func FuzzShardEquivalence(f *testing.F) {
 		if nsh%2 == 1 {
 			strategy = PartitionMinCut
 		}
-		nIn := probe.NumInputs()
-		inputFn := func(tick int) []int {
-			if nIn == 0 {
-				return nil
-			}
-			var pins []int
-			for i := 0; i+1 < len(schedule); i += 2 {
-				if int(schedule[i])%ticks == tick {
-					pins = append(pins, int(schedule[i+1])%nIn)
-				}
-			}
-			return pins
-		}
-		run := func(opts ...Option) ([]TraceEvent, []int, EnergyStats) {
-			sim, err := NewSimulator(build(), seed, opts...)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer sim.Close()
-			tr := NewTrace()
-			sim.SetTrace(tr)
-			counts, err := sim.Run(ticks, inputFn)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return tr.Events, counts, CollectEnergy(sim)
-		}
-		evD, ctD, enD := run(WithEngine(EngineDense))
-		evS, ctS, enS := run(WithEngine(EngineSparse))
-		evSh, ctSh, enSh := run(WithEngine(EngineSparse), WithShards(nsh), WithPartitionStrategy(strategy))
-		if !reflect.DeepEqual(evD, evS) {
-			t.Fatalf("dense/sparse traces diverged: %d vs %d events", len(evD), len(evS))
-		}
-		if !reflect.DeepEqual(evS, evSh) {
-			t.Fatalf("sparse/sharded(%d) traces diverged: %d vs %d events", nsh, len(evS), len(evSh))
-		}
-		if !reflect.DeepEqual(ctD, ctS) || !reflect.DeepEqual(ctS, ctSh) {
-			t.Fatalf("output counts diverged: dense %v sparse %v sharded %v", ctD, ctS, ctSh)
-		}
-		if enD != enS || enS != enSh {
-			t.Fatalf("energy stats diverged: dense %+v sparse %+v sharded %+v", enD, enS, enSh)
-		}
+		inputFn := scheduleInputs(schedule, ticks, probe.NumInputs())
+		want := oracleRun(t, probe, seed, ticks, inputFn)
+		sameRun(t, "one shard", want, simRun(t, build(), seed, ticks, inputFn))
+		sameRun(t, fmt.Sprintf("shards=%d", nsh), want,
+			simRun(t, build(), seed, ticks, inputFn, WithShards(nsh), WithPartitionStrategy(strategy)))
 	})
+}
+
+// scheduleInputs decodes fuzz bytes into an input function: each byte
+// pair is one (tick, pin) injection, folded into range.
+func scheduleInputs(schedule []byte, ticks, nIn int) func(int) []int {
+	return func(tick int) []int {
+		if nIn == 0 {
+			return nil
+		}
+		var pins []int
+		for i := 0; i+1 < len(schedule); i += 2 {
+			if int(schedule[i])%ticks == tick {
+				pins = append(pins, int(schedule[i+1])%nIn)
+			}
+		}
+		return pins
+	}
 }
 
 // FuzzDenseSparseEquivalence drives the fuzz-feature model with an
 // arbitrary input spike schedule decoded from the fuzz bytes and
-// asserts the two engines stay bit-identical: same trace, same output
-// counts, same energy stats.
+// asserts the simulator at every shard count stays bit-identical to
+// the dense oracle: same trace, output counts, energy stats and final
+// membrane potentials.
 func FuzzDenseSparseEquivalence(f *testing.F) {
 	f.Add(int64(1), []byte{0, 0, 1, 1, 5, 0, 9, 1})
 	f.Add(int64(42), []byte{})
@@ -218,41 +200,11 @@ func FuzzDenseSparseEquivalence(f *testing.F) {
 			}
 			return m
 		}
-		mDense, mSparse := build(), build()
-		nIn := mDense.NumInputs()
-		// Each byte pair is one (tick, pin) injection, folded into range.
-		inputFn := func(tick int) []int {
-			var pins []int
-			for i := 0; i+1 < len(schedule); i += 2 {
-				if int(schedule[i])%ticks == tick {
-					pins = append(pins, int(schedule[i+1])%nIn)
-				}
-			}
-			return pins
-		}
-		run := func(m *Model, e Engine) ([]TraceEvent, []int, EnergyStats) {
-			sim, err := NewSimulator(m, seed, WithEngine(e))
-			if err != nil {
-				t.Fatal(err)
-			}
-			tr := NewTrace()
-			sim.SetTrace(tr)
-			counts, err := sim.Run(ticks, inputFn)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return tr.Events, counts, CollectEnergy(sim)
-		}
-		evD, ctD, enD := run(mDense, EngineDense)
-		evS, ctS, enS := run(mSparse, EngineSparse)
-		if !reflect.DeepEqual(evD, evS) {
-			t.Fatalf("traces diverged: dense %d events, sparse %d", len(evD), len(evS))
-		}
-		if !reflect.DeepEqual(ctD, ctS) {
-			t.Fatalf("output counts diverged: %v vs %v", ctD, ctS)
-		}
-		if enD != enS {
-			t.Fatalf("energy stats diverged: %+v vs %+v", enD, enS)
+		mRef := build()
+		inputFn := scheduleInputs(schedule, ticks, mRef.NumInputs())
+		want := oracleRun(t, mRef, seed, ticks, inputFn)
+		for _, nsh := range shardSweepCounts() {
+			sameRun(t, fmt.Sprintf("shards=%d", nsh), want, simRun(t, build(), seed, ticks, inputFn, WithShards(nsh)))
 		}
 	})
 }

@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/obs"
 )
@@ -30,15 +31,21 @@ func TestWithShardsClampAndAccessors(t *testing.T) {
 		if got := sim.Shards(); got != tc.want {
 			t.Errorf("WithShards(%d) on 6 cores: Shards() = %d, want %d", tc.req, got, tc.want)
 		}
-		if (sim.shards != nil) != (tc.want > 1) {
-			t.Errorf("WithShards(%d): worker machinery present = %v, want %v",
-				tc.req, sim.shards != nil, tc.want > 1)
+		// Worker goroutines (and their channels) exist exactly when
+		// there are two or more shards; one shard runs inline.
+		ss := sim.shards
+		if ss.workers != (tc.want > 1) || (ss.done != nil) != (tc.want > 1) || (ss.shards[0].start != nil) != (tc.want > 1) {
+			t.Errorf("WithShards(%d): workers = %v (done %v, start %v), want %v",
+				tc.req, ss.workers, ss.done != nil, ss.shards[0].start != nil, tc.want > 1)
 		}
 		p := sim.Partition()
 		if len(p.Owner) != 6 || p.Shards() != tc.want {
 			t.Errorf("WithShards(%d): partition has %d owners / %d shards", tc.req, len(p.Owner), p.Shards())
 		}
 		sim.Close()
+		if ss.workers {
+			t.Errorf("WithShards(%d): workers still marked running after Close", tc.req)
+		}
 	}
 }
 
@@ -58,6 +65,57 @@ func TestCloseIdempotentAndUnsharded(t *testing.T) {
 	}
 	solo.Close() // unsharded Close is always safe
 	solo.Step()  // and the simulator stays usable
+
+	// Step after Close is defined: Close joins the workers and later
+	// ticks run the four shards inline, giving what an unclosed
+	// simulator gives. The steps run under a watchdog so a Step that
+	// waits on joined workers fails the test instead of hanging it.
+	const ticks = 96
+	build := func() *Model { return randomModelN(t, rand.New(rand.NewSource(29)), 12) }
+	mRef := build()
+	in := sparseSchedule(mRef.NumInputs(), 29)
+	want := simRun(t, mRef, 3, 2*ticks, in, WithShards(4))
+	mClosed := build()
+	closed, err := NewSimulator(mClosed, 3, WithShards(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if closed.Shards() != 4 {
+		t.Fatalf("model of %d cores gives %d shards, want 4", mClosed.NumCores(), closed.Shards())
+	}
+	tr := NewTrace()
+	closed.SetTrace(tr)
+	counts := make([]int, mClosed.NumOutputs())
+	var runErr error
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for tk := 0; tk < 2*ticks && runErr == nil; tk++ {
+			if tk == ticks {
+				closed.Close()
+			}
+			if runErr = closed.InjectInputs(in(tk)); runErr != nil {
+				break
+			}
+			for p, fired := range closed.Step() {
+				if fired {
+					counts[p]++
+				}
+			}
+		}
+	}()
+	select {
+	case <-done:
+	case <-time.After(5 * time.Second):
+		t.Fatal("Step after Close on a 4-shard simulator still blocked after 5s")
+	}
+	if runErr != nil {
+		t.Fatal(runErr)
+	}
+	if len(want.events) == 0 {
+		t.Fatal("reference run fired nothing; test is vacuous")
+	}
+	sameRun(t, "closed after half the run", want, runResult{tr.Events, counts, CollectEnergy(closed), potentials(mClosed)})
 }
 
 // TestShardedStepSteadyStateAllocs locks in the zero-allocation
@@ -68,29 +126,27 @@ func TestCloseIdempotentAndUnsharded(t *testing.T) {
 // annotation on runShardTick has the hotalloc analyzer prove the same
 // property statically.
 func TestShardedStepSteadyStateAllocs(t *testing.T) {
-	for _, engine := range []Engine{EngineDense, EngineSparse} {
-		t.Run(engine.String(), func(t *testing.T) {
-			m := buildShardChain(t, 8)
-			sim, err := NewSimulator(m, 1, WithEngine(engine), WithShards(4))
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer sim.Close()
-			// Warm up: drive spikes through every chain link so each
-			// shard's mailboxes and scratch buffers reach steady size.
-			for i := 0; i < 2*(MaxDelay+1); i++ {
-				_ = sim.InjectInput(0)
-				sim.Step()
-			}
-			avg := testing.AllocsPerRun(100, func() {
-				_ = sim.InjectInput(0)
-				sim.Step()
-			})
-			if avg != 0 {
-				t.Errorf("steady-state sharded Step allocates %.2f objects/op, want 0", avg)
-			}
+	t.Run("sparse", func(t *testing.T) {
+		m := buildShardChain(t, 8)
+		sim, err := NewSimulator(m, 1, WithShards(4))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer sim.Close()
+		// Warm up: drive spikes through every chain link so each
+		// shard's mailboxes and scratch buffers reach steady size.
+		for i := 0; i < 2*(MaxDelay+1); i++ {
+			_ = sim.InjectInput(0)
+			sim.Step()
+		}
+		avg := testing.AllocsPerRun(100, func() {
+			_ = sim.InjectInput(0)
+			sim.Step()
 		})
-	}
+		if avg != 0 {
+			t.Errorf("steady-state sharded Step allocates %.2f objects/op, want 0", avg)
+		}
+	})
 }
 
 // TestShardedRaceSmoke is the race-lane workhorse: a short sharded run
@@ -281,8 +337,8 @@ func TestShardedMetricsDeterministicMerge(t *testing.T) {
 }
 
 // TestShardedActiveCoreSampling pins that the per-tick active-core
-// counts the sharded engine samples (summed over shards after the
-// barrier) are exactly the unsharded engine's counts, tick for tick.
+// counts a sharded simulator samples (summed over shards after the
+// barrier) are exactly the one-shard simulator's counts, tick for tick.
 func TestShardedActiveCoreSampling(t *testing.T) {
 	prev := obs.Enabled()
 	obs.Enable()

@@ -10,14 +10,14 @@ import (
 	"repro/internal/truenorth"
 )
 
-// Simulator engine benchmarks: dense vs event-driven Step cost as a
-// function of fabric activity, plus the end-to-end NApprox corelet run.
-// `make bench-sim` executes exactly these and writes the telemetry
-// snapshot (including truenorth.active_cores_per_tick) to
-// BENCH_sim.json.
+// Simulator benchmarks: event-driven Step cost as a function of fabric
+// activity, the sharded tick and shard-count sweep, plus the end-to-end
+// NApprox corelet run. `make bench-sim` executes exactly these and
+// writes the telemetry snapshot (including
+// truenorth.active_cores_per_tick) to BENCH_sim.json.
 
 // benchFabricCores sizes the synthetic fabric: 64 full-size
-// (256x256) cores, so a dense tick always walks 16384 neurons.
+// (256x256) cores, 16384 neurons in all.
 const benchFabricCores = 64
 
 // benchStepModel builds the controlled-activity fabric. Each core has
@@ -53,10 +53,9 @@ func benchStepModel(b *testing.B) *truenorth.Model {
 
 // benchStep measures one simulator tick with pct percent of the fabric
 // receiving input (at least one core). Steady state must be
-// allocation-free on both engines — TestStepSteadyStateAllocs pins the
-// same property as a hard test.
-func benchStep(b *testing.B, engine truenorth.Engine, pct int, extra ...truenorth.Option) {
-	opts := append([]truenorth.Option{truenorth.WithEngine(engine)}, extra...)
+// allocation-free — TestStepSteadyStateAllocs pins the same property
+// as a hard test.
+func benchStep(b *testing.B, pct int, opts ...truenorth.Option) {
 	sim, err := truenorth.NewSimulator(benchStepModel(b), 1, opts...)
 	if err != nil {
 		b.Fatal(err)
@@ -89,18 +88,10 @@ func benchStep(b *testing.B, engine truenorth.Engine, pct int, extra ...truenort
 	sim.PublishMetrics()
 }
 
-func BenchmarkStepDense(b *testing.B) {
-	for _, pct := range []int{1, 10, 50} {
-		b.Run(fmt.Sprintf("activity%d", pct), func(b *testing.B) {
-			benchStep(b, truenorth.EngineDense, pct)
-		})
-	}
-}
-
 func BenchmarkStepSparse(b *testing.B) {
 	for _, pct := range []int{1, 10, 50} {
 		b.Run(fmt.Sprintf("activity%d", pct), func(b *testing.B) {
-			benchStep(b, truenorth.EngineSparse, pct)
+			benchStep(b, pct)
 		})
 	}
 }
@@ -113,7 +104,7 @@ func BenchmarkStepSparse(b *testing.B) {
 func BenchmarkStepSharded(b *testing.B) {
 	for _, nsh := range []int{2, 4, 8} {
 		b.Run(fmt.Sprintf("shards%d", nsh), func(b *testing.B) {
-			benchStep(b, truenorth.EngineSparse, 10, truenorth.WithShards(nsh))
+			benchStep(b, 10, truenorth.WithShards(nsh))
 		})
 	}
 }
@@ -169,8 +160,7 @@ func BenchmarkMultiChipShardSweep(b *testing.B) {
 	const stride = 10 // 10% of cores injected per tick, striped fabric-wide
 	for _, nsh := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("shards%d", nsh), func(b *testing.B) {
-			sim, err := truenorth.NewSimulator(model, 1,
-				truenorth.WithEngine(truenorth.EngineSparse), truenorth.WithShards(nsh))
+			sim, err := truenorth.NewSimulator(model, 1, truenorth.WithShards(nsh))
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -203,35 +193,34 @@ func BenchmarkMultiChipShardSweep(b *testing.B) {
 }
 
 // BenchmarkRunNApprox measures a full NApprox cell extraction (rate
-// coding, 23-core corelet, window + drain ticks) per engine — the
-// realistic mixed-activity workload behind the paper's feature
-// pipeline.
+// coding, 23-core corelet, window + drain ticks) on the default
+// simulator — the realistic mixed-activity workload behind the paper's
+// feature pipeline. The sub-benchmark keeps its historical name,
+// sparse, so ledger entries stay comparable.
 func BenchmarkRunNApprox(b *testing.B) {
-	for _, engine := range []truenorth.Engine{truenorth.EngineDense, truenorth.EngineSparse} {
-		b.Run(engine.String(), func(b *testing.B) {
-			mod, err := napprox.BuildCellModule(napprox.TrueNorthConfig())
-			if err != nil {
+	b.Run("sparse", func(b *testing.B) {
+		mod, err := napprox.BuildCellModule(napprox.TrueNorthConfig())
+		if err != nil {
+			b.Fatal(err)
+		}
+		sim, err := truenorth.NewSimulator(mod.Model, 1)
+		if err != nil {
+			b.Fatal(err)
+		}
+		cell := imgproc.New(10, 10)
+		for y := 0; y < 10; y++ {
+			for x := 0; x < 10; x++ {
+				cell.Set(x, y, float64(x)*0.08)
+			}
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := mod.Extract(sim, cell); err != nil {
 				b.Fatal(err)
 			}
-			sim, err := truenorth.NewSimulator(mod.Model, 1, truenorth.WithEngine(engine))
-			if err != nil {
-				b.Fatal(err)
-			}
-			cell := imgproc.New(10, 10)
-			for y := 0; y < 10; y++ {
-				for x := 0; x < 10; x++ {
-					cell.Set(x, y, float64(x)*0.08)
-				}
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := mod.Extract(sim, cell); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.StopTimer()
-			sim.PublishMetrics()
-		})
-	}
+		}
+		b.StopTimer()
+		sim.PublishMetrics()
+	})
 }
