@@ -61,8 +61,11 @@ perfbench-check:
 # loops whose speed may depend on their 64-byte alignment (ROADMAP item
 # 1): address and address mod 64 of eedn.(*Dense).preact,
 # svm.(*Model).Score, the block-plane SVM kernel
-# hog.(*Extractor).LinearScoresInto and the FPGA-HoG cell pass
-# hog.(*FPGAExtractor).fixedCellPass, then a SHA-256 of the binary's
+# hog.(*Extractor).LinearScoresInto, the FPGA-HoG cell pass
+# hog.(*FPGAExtractor).fixedCellPass, the detection level loop
+# detect.(*scanState).runLevel and detect.NMSInto, and the simulator's
+# tick loops truenorth.(*Simulator).Step, (*Simulator).runShardTick,
+# (*Core).fire and (*Core).Integrate, then a SHA-256 of the binary's
 # sorted text-symbol table. Two trees that print the same lines link the
 # benchmark's code identically, so a benchmark difference between them
 # is not placement.
@@ -75,7 +78,12 @@ perfbench-layout:
 	@$(GO) tool nm $(BENCH_BUILD)/perfbench | \
 		awk '$$3 == "repro/internal/eedn.(*Dense).preact" || $$3 == "repro/internal/svm.(*Model).Score" || \
 			$$3 == "repro/internal/hog.(*Extractor).LinearScoresInto" || \
-			$$3 == "repro/internal/hog.(*FPGAExtractor).fixedCellPass" { print $$1, $$3 }' | \
+			$$3 == "repro/internal/hog.(*FPGAExtractor).fixedCellPass" || \
+			$$3 == "repro/internal/detect.(*scanState).runLevel" || $$3 == "repro/internal/detect.NMSInto" || \
+			$$3 == "repro/internal/truenorth.(*Simulator).Step" || \
+			$$3 == "repro/internal/truenorth.(*Simulator).runShardTick" || \
+			$$3 == "repro/internal/truenorth.(*Core).fire" || \
+			$$3 == "repro/internal/truenorth.(*Core).Integrate" { print $$1, $$3 }' | \
 		while read addr sym; do echo "$$sym 0x$$addr mod64=$$((0x$$addr % 64))"; done
 	@$(GO) tool nm $(BENCH_BUILD)/perfbench | awk '$$2 == "T" || $$2 == "t"' | sort | sha256sum | \
 		awk '{ print "text-symbols sha256 " $$1 }'
@@ -134,7 +142,6 @@ fuzz:
 	$(GO) test ./internal/truenorth -run '^$$' -fuzz '^FuzzDenseSparseEquivalence$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/truenorth -run '^$$' -fuzz '^FuzzShardEquivalence$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/eedn -run '^$$' -fuzz '^FuzzDenseTrinary$$' -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/eedn -run '^$$' -fuzz '^FuzzLoad$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/imgproc -run '^$$' -fuzz '^FuzzReadPGM$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/hog -run '^$$' -fuzz '^FuzzLinearScores$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/hog -run '^$$' -fuzz '^FuzzFPGAGridInto$$' -fuzztime $(FUZZTIME)

@@ -105,10 +105,9 @@ func ruleFor(name, field string) rule {
 }
 
 // flatten reduces a snapshot to comparable scalars: counters and
-// gauges by name; reservoir histograms as name/p50|p90|p99|count;
-// bucket histograms as name/p50|p99|mean|count with quantiles
-// estimated from the cumulative buckets, exactly what a Prometheus
-// histogram_quantile would see.
+// gauges by name, and histograms as name/p50|p99|mean|count with
+// quantiles estimated from the cumulative buckets, exactly what a
+// Prometheus histogram_quantile would see.
 func flatten(s obs.Snapshot) map[string]float64 {
 	out := map[string]float64{}
 	for k, v := range s.Counters {
@@ -116,15 +115,6 @@ func flatten(s obs.Snapshot) map[string]float64 {
 	}
 	for k, v := range s.Gauges {
 		out[k] = v
-	}
-	for k, h := range s.Histograms {
-		out[k+"/count"] = float64(h.Count)
-		if h.Count > 0 {
-			out[k+"/p50"] = h.P50
-			out[k+"/p90"] = h.P90
-			out[k+"/p99"] = h.P99
-			out[k+"/mean"] = h.Sum / float64(h.Count)
-		}
 	}
 	for k, h := range s.BucketHistograms {
 		out[k+"/count"] = float64(h.Count)

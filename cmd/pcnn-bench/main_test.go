@@ -50,13 +50,27 @@ func TestCompareThroughputRegression(t *testing.T) {
 }
 
 func TestCompareLatencyRegression(t *testing.T) {
+	// mk puts half of 100 level times at p50, which is a bucket bound,
+	// and half above every bound, so the bucket-estimated p50 is
+	// exactly p50.
 	mk := func(p50 float64) obs.Snapshot {
-		return obs.Snapshot{Histograms: map[string]obs.HistogramSummary{
-			"detect.level_ms": {Count: 100, Sum: p50 * 100, P50: p50, P90: p50 * 2, P99: p50 * 3},
+		h := obs.NewBucketHistogram([]float64{5, 10, 12, 15})
+		for i := 0; i < 100; i++ {
+			v := p50
+			if i%2 == 1 {
+				v = 1000
+			}
+			h.Observe(v)
+		}
+		return obs.Snapshot{BucketHistograms: map[string]obs.BucketHistogramSummary{
+			"detect.level_ms": h.Summary(),
 		}}
 	}
 	// +50% p50 latency: outside the 30% lower-better tolerance.
 	d := findDelta(t, compare(mk(10), mk(15), 1), "detect.level_ms/p50")
+	if d.Base != 10 || d.Fresh != 15 {
+		t.Fatalf("estimated p50 %v -> %v, want 10 -> 15", d.Base, d.Fresh)
+	}
 	if !d.Regression {
 		t.Error("+50% latency must be a regression")
 	}
@@ -186,7 +200,7 @@ func TestRuleClassification(t *testing.T) {
 		{"detect.band_ms", "mean", lowerBetter},
 		{"truenorth.run_duration_seconds", "p50", lowerBetter},
 		{"detect.band_ms", "count", informational},
-		{"detect.band_ms", "p90", informational}, // reservoir p90 is noisy; only p50/p99/mean gate
+		{"detect.band_ms", "p90", informational}, // only p50/p99/mean gate
 		{"detect.workers", "", informational},
 		{"detect.worker_utilization", "", higherBetter},
 		{"detect.worker_utilization", "p50", higherBetter},

@@ -19,7 +19,6 @@ import (
 
 	"repro/internal/experiments"
 	"repro/internal/obs"
-	"repro/internal/truenorth"
 )
 
 var csvDir = flag.String("csv", "", "also write figure series as CSV files into this directory")
@@ -35,15 +34,9 @@ func main() {
 	cells := flag.Int("hwcells", 200, "cells for the hardware/software validation")
 	workers := flag.Int("workers", 0, "detection scan workers (0 or 1 sequential; clamped to GOMAXPROCS; output is worker-count invariant; with -metrics, per-image busy/wall fractions land in the detect.worker_utilization histogram)")
 	shards := flag.Int("shards", 1, "shard each simulator's core graph across this many goroutines (bit-identical to -shards 1)")
-	partName := flag.String("partition", "block", "shard partitioner: block or mincut")
 	tele.Register(flag.CommandLine)
 	flag.Parse()
-	strategy, err := truenorth.ParsePartitionStrategy(*partName)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	}
-	experiments.SetSimulatorShards(*shards, strategy)
+	experiments.SetSimulatorShards(*shards)
 	tele.MustStart()
 
 	cfg := experiments.Small()

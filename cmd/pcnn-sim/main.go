@@ -32,16 +32,11 @@ func main() {
 	ticks := flag.Int("ticks", 100, "ticks to simulate")
 	seed := flag.Int64("seed", 1, "stochastic threshold seed")
 	shards := flag.Int("shards", 1, "shard the core graph across this many worker goroutines (bit-identical to -shards 1)")
-	partName := flag.String("partition", "block", "shard partitioner: block (contiguous core ranges) or mincut (route-graph refinement)")
 	export := flag.String("export-napprox", "", "write the NApprox cell corelet as a model file and exit")
 	demo := flag.Bool("demo", false, "build the NApprox corelet, save, reload and run a ramp cell")
 	var tele obs.CLI
 	tele.Register(flag.CommandLine)
 	flag.Parse()
-	strategy, err := truenorth.ParsePartitionStrategy(*partName)
-	if err != nil {
-		fail(err)
-	}
 	tele.MustStart()
 	defer tele.MustFinish()
 
@@ -52,7 +47,7 @@ func main() {
 		}
 	case *demo:
 		sp := obs.StartSpan("pcnn-sim.demo")
-		err := runDemo(*shards, strategy)
+		err := runDemo(*shards)
 		sp.End()
 		if err != nil {
 			_ = tele.Finish()
@@ -60,7 +55,7 @@ func main() {
 		}
 	case *modelPath != "":
 		sp := obs.StartSpan("pcnn-sim.run")
-		err := runModel(*modelPath, *spikesPath, *ticks, *seed, *shards, strategy)
+		err := runModel(*modelPath, *spikesPath, *ticks, *seed, *shards)
 		sp.End()
 		if err != nil {
 			_ = tele.Finish()
@@ -95,7 +90,7 @@ func exportNApprox(path string) error {
 	return nil
 }
 
-func runModel(modelPath, spikesPath string, ticks int, seed int64, shards int, strategy truenorth.PartitionStrategy) error {
+func runModel(modelPath, spikesPath string, ticks int, seed int64, shards int) error {
 	f, err := os.Open(modelPath)
 	if err != nil {
 		return err
@@ -138,16 +133,15 @@ func runModel(modelPath, spikesPath string, ticks int, seed int64, shards int, s
 		}
 	}
 
-	sim, err := truenorth.NewSimulator(model, seed,
-		truenorth.WithShards(shards), truenorth.WithPartitionStrategy(strategy))
+	sim, err := truenorth.NewSimulator(model, seed, truenorth.WithShards(shards))
 	if err != nil {
 		return err
 	}
 	defer sim.Close()
 	if sim.Shards() > 1 {
 		p := sim.Partition()
-		fmt.Printf("sharded: %d shards (%s), %d cross-shard route edges\n",
-			sim.Shards(), strategy, p.CrossEdges)
+		fmt.Printf("sharded: %d shards, %d cross-shard route edges\n",
+			sim.Shards(), p.CrossEdges)
 	}
 	counts, err := sim.Run(ticks, func(t int) []int { return schedule[t] })
 	if err != nil {
@@ -165,7 +159,7 @@ func runModel(modelPath, spikesPath string, ticks int, seed int64, shards int, s
 	return nil
 }
 
-func runDemo(shards int, strategy truenorth.PartitionStrategy) error {
+func runDemo(shards int) error {
 	cfg := napprox.TrueNorthConfig()
 	mod, err := napprox.BuildCellModule(cfg)
 	if err != nil {
@@ -196,8 +190,7 @@ func runDemo(shards int, strategy truenorth.PartitionStrategy) error {
 	fmt.Printf("reloaded: %d cores\n", model.NumCores())
 
 	// Run a horizontal ramp cell through the reloaded model.
-	sim, err := truenorth.NewSimulator(model, 1,
-		truenorth.WithShards(shards), truenorth.WithPartitionStrategy(strategy))
+	sim, err := truenorth.NewSimulator(model, 1, truenorth.WithShards(shards))
 	if err != nil {
 		return err
 	}

@@ -322,7 +322,7 @@ func (st *scanState) runLevel(sc *workerScratch, li int) {
 		span.End()
 		el := time.Since(levelStart)
 		sc.busy += el
-		obs.HistogramM("detect.level_windows").Observe(float64(sc.windows - windows0))
+		obs.BucketHistogramM("detect.level_windows", obs.WindowBuckets).Observe(float64(sc.windows - windows0))
 		obs.BucketHistogramM("detect.level_ms", obs.LatencyMSBuckets).Observe(float64(el.Microseconds()) / 1000)
 	}
 }

@@ -375,6 +375,32 @@ func TestWorkerUtilizationHistogram(t *testing.T) {
 	}
 }
 
+// TestLevelWindowsHistogram checks the per-level window histogram
+// against the image totals, as deltas across one Detect with telemetry
+// on: detect.level_windows gains one observation per pyramid level, and
+// its sum grows by exactly the detect.windows_scanned delta.
+func TestLevelWindowsHistogram(t *testing.T) {
+	obs.Enable()
+	t.Cleanup(obs.Disable)
+	det := testDetector(t, DefaultConfig())
+	img := dataset.NewGenerator(4).NegativeImage(160, 288)
+	h := obs.BucketHistogramM("detect.level_windows", obs.WindowBuckets)
+	scanned := obs.CounterM("detect.windows_scanned")
+	levels := obs.CounterM("detect.pyramid_levels")
+	count0, sum0, scanned0, levels0 := h.Count(), h.Sum(), scanned.Value(), levels.Value()
+	det.Detect(img)
+	windows := scanned.Value() - scanned0
+	if windows == 0 {
+		t.Fatal("Detect scanned no windows; test is vacuous")
+	}
+	if got := h.Sum() - sum0; got != float64(windows) {
+		t.Errorf("level_windows sum grew by %v, want windows_scanned delta %d", got, windows)
+	}
+	if got, want := h.Count()-count0, levels.Value()-levels0; got != want {
+		t.Errorf("level_windows gained %d observations, want one per level (%d)", got, want)
+	}
+}
+
 // TestDetectSteadyStateAllocs pins the 0-alloc inner window loop: once
 // scratch buffers are warm, scanning every window of a level allocates
 // nothing (scores and descriptors append into per-worker scratch,

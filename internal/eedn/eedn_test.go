@@ -310,6 +310,14 @@ func TestConv2DValidation(t *testing.T) {
 	if _, err := NewConv2D(0, 8, 8, 4, 3, 1, 1, rng); err == nil {
 		t.Error("zero channels should error")
 	}
+	// Zero input height: OutDim would be -3.
+	if _, err := NewConv2D(1, 0, 4, 1, 3, 1, 1, rng); err == nil {
+		t.Error("zero input height should error")
+	}
+	// Kernel area K*K overflows an int (it wraps to 0).
+	if _, err := NewConv2D(1, 1<<32, 1<<32, 1, 1<<32, 1, 1, rng); err == nil {
+		t.Error("kernel area overflowing int should error")
+	}
 }
 
 func TestConv2DDetectsEdges(t *testing.T) {

@@ -38,31 +38,23 @@ import (
 	"repro/internal/truenorth"
 )
 
-// simShards / simPartition select the sharded execution mode for every
-// experiment simulator: the core graph is split across simShards
-// worker goroutines using the simPartition strategy. Sharded execution
-// is bit-identical to single-goroutine execution, so this only affects
-// speed; cmd/pcnn-eval exposes both as -shards / -partition.
-var (
-	simShards    = 1
-	simPartition = truenorth.PartitionBlock
-)
+// simShards selects the sharded execution mode for every experiment
+// simulator: the core graph is split across simShards worker
+// goroutines. Sharded execution is bit-identical to single-goroutine
+// execution, so this only affects speed; cmd/pcnn-eval exposes it as
+// -shards.
+var simShards = 1
 
-// SetSimulatorShards switches the shard count and partition strategy
-// used by subsequent experiment runs (process-wide; not safe to flip
-// concurrently with a running experiment). n <= 1 restores the
-// default single-goroutine mode.
-func SetSimulatorShards(n int, strategy truenorth.PartitionStrategy) {
-	simShards = n
-	simPartition = strategy
-}
+// SetSimulatorShards switches the shard count used by subsequent
+// experiment runs (process-wide; not safe to flip concurrently with a
+// running experiment). n <= 1 restores the default single-goroutine
+// mode.
+func SetSimulatorShards(n int) { simShards = n }
 
 // newSimulator builds a simulator with the configured shard count.
 // Callers should defer sim.Close() to join shard workers.
 func newSimulator(m *truenorth.Model, seed int64) (*truenorth.Simulator, error) {
-	return truenorth.NewSimulator(m, seed,
-		truenorth.WithShards(simShards),
-		truenorth.WithPartitionStrategy(simPartition))
+	return truenorth.NewSimulator(m, seed, truenorth.WithShards(simShards))
 }
 
 // Config sizes an experiment run.

@@ -21,8 +21,8 @@ var update = flag.Bool("update", false, "rewrite golden spike-trace files")
 // firing pattern of every neuron in the module, so any change to
 // simulator dynamics, corelet wiring, or the noise contract shows up as
 // a raster diff rather than a silent drift. Each case runs on the
-// default one-shard simulator and on three min-cut shards, and both
-// traces and histograms are compared to the golden file.
+// default one-shard simulator and on three shards, and both traces and
+// histograms are compared to the golden file.
 //
 // Regenerate with: go test ./internal/napprox -run GoldenSpikeTrace -update
 
@@ -75,8 +75,7 @@ func TestGoldenSpikeTrace(t *testing.T) {
 				return mod, tr, hist
 			}
 			mod, tr, hist := run()
-			_, trShard, histShard := run(truenorth.WithShards(3),
-				truenorth.WithPartitionStrategy(truenorth.PartitionMinCut))
+			_, trShard, histShard := run(truenorth.WithShards(3))
 
 			got := formatGoldenTrace(mod, tr, hist)
 			gotShard := formatGoldenTrace(mod, trShard, histShard)

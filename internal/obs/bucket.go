@@ -7,23 +7,22 @@ import (
 	"sync/atomic"
 )
 
-// BucketHistogram is the scrape-safe sibling of Histogram: a fixed set
-// of upper bounds with one atomic counter each. Where the reservoir
-// Histogram keeps a bounded sample set and answers exact quantiles
-// over it, a BucketHistogram loses per-sample resolution but gains the
-// properties a serving/SLO surface needs:
+// BucketHistogram is the package's one histogram kind: a fixed set of
+// upper bounds with one atomic counter each. It keeps no samples, so
+// quantiles are bucket estimates, but it has the properties a scrape
+// surface needs:
 //
 //   - Observe is lock-free and allocation-free (one atomic add per
 //     bucket plus a CAS loop for the sum), safe on hot paths.
 //   - Two histograms with the same bounds Merge exactly, so
-//     per-worker or per-shard instances aggregate without bias —
-//     reservoir quantiles do not compose.
+//     per-worker, per-shard or per-simulator instances aggregate
+//     without bias.
 //   - The cumulative-bucket form is exactly Prometheus's histogram
 //     exposition (`_bucket{le=...}`, `_sum`, `_count`), so
 //     `histogram_quantile` works server-side across scrapes.
 //
 // Pick buckets from the per-domain presets below so dashboards and
-// the pcnn-bench sentinel see stable bound sets across PRs.
+// the pcnn-bench sentinel see stable bound sets across changes.
 type BucketHistogram struct {
 	// bounds are the ascending bucket upper bounds; immutable after
 	// construction. counts[i] tallies observations v <= bounds[i] and
@@ -45,14 +44,19 @@ var (
 	// *_seconds metrics (truenorth.run_duration_seconds).
 	SecondsBuckets = []float64{0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10, 30}
 	// WindowBuckets covers per-level sliding-window counts
-	// (detect.level_windows).
-	WindowBuckets = []float64{8, 16, 32, 64, 128, 256, 512, 1024, 2048, 4096}
-	// SpikeBuckets covers per-tick spike/active-core tallies, which are
-	// bounded by fabric size and heavily skewed toward zero.
-	SpikeBuckets = []float64{0, 1, 2, 4, 8, 16, 32, 64, 128, 256, 1024, 4096}
-	// CountBuckets covers small iteration tallies (training epochs to
-	// converge, mining rounds).
-	CountBuckets = []float64{1, 2, 5, 10, 20, 50, 100, 200, 500, 1000}
+	// (detect.level_windows) up to a full-HD level 0 (233x120 =
+	// 27,960 windows).
+	WindowBuckets = []float64{8, 16, 32, 64, 128, 256, 512, 1024, 2048, 4096, 8192, 16384, 32768}
+	// SpikeBuckets covers per-tick spike/active-core tallies
+	// (truenorth.active_cores_per_tick), which are bounded by fabric
+	// size — 4608 cores for the multi-chip sweep — and heavily skewed
+	// toward zero.
+	SpikeBuckets = []float64{0, 1, 2, 4, 8, 16, 32, 64, 128, 256, 1024, 4096, 16384}
+	// CountBuckets covers tallies from training iterations (epochs to
+	// converge) up to whole-run activity totals (truenorth.core_fires,
+	// truenorth.run_spikes_routed), on a 1-2-5 series to 1e8.
+	CountBuckets = []float64{1, 2, 5, 10, 20, 50, 100, 200, 500, 1000,
+		2000, 5000, 1e4, 2e4, 5e4, 1e5, 2e5, 5e5, 1e6, 2e6, 5e6, 1e7, 2e7, 5e7, 1e8}
 	// RatioBuckets covers [0, 1] efficiency ratios
 	// (detect.worker_utilization), denser near the healthy top end.
 	RatioBuckets = []float64{0.05, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 0.95, 1}

@@ -19,21 +19,9 @@ type Snapshot struct {
 	TakenAt          string                            `json:"taken_at"`
 	Counters         map[string]uint64                 `json:"counters"`
 	Gauges           map[string]float64                `json:"gauges"`
-	Histograms       map[string]HistogramSummary       `json:"histograms"`
 	BucketHistograms map[string]BucketHistogramSummary `json:"bucket_histograms,omitempty"`
 	Series           map[string][]SeriesPoint          `json:"series"`
 	Spans            []SpanSummary                     `json:"spans,omitempty"`
-}
-
-// HistogramSummary is the export form of a Histogram.
-type HistogramSummary struct {
-	Count uint64  `json:"count"`
-	Sum   float64 `json:"sum"`
-	Min   float64 `json:"min"`
-	Max   float64 `json:"max"`
-	P50   float64 `json:"p50"`
-	P90   float64 `json:"p90"`
-	P99   float64 `json:"p99"`
 }
 
 // Snapshot captures the registry's current state.
@@ -42,7 +30,6 @@ func (r *Registry) Snapshot() Snapshot {
 		TakenAt:          time.Now().UTC().Format(time.RFC3339),
 		Counters:         map[string]uint64{},
 		Gauges:           map[string]float64{},
-		Histograms:       map[string]HistogramSummary{},
 		BucketHistograms: map[string]BucketHistogramSummary{},
 		Series:           map[string][]SeriesPoint{},
 	}
@@ -54,10 +41,6 @@ func (r *Registry) Snapshot() Snapshot {
 	gauges := make(map[string]*Gauge, len(r.gauges))
 	for k, v := range r.gauges {
 		gauges[k] = v
-	}
-	hists := make(map[string]*Histogram, len(r.histograms))
-	for k, v := range r.histograms {
-		hists[k] = v
 	}
 	bucketHists := make(map[string]*BucketHistogram, len(r.bucketHists))
 	for k, v := range r.bucketHists {
@@ -73,9 +56,6 @@ func (r *Registry) Snapshot() Snapshot {
 	}
 	for k, g := range gauges {
 		snap.Gauges[k] = g.Value()
-	}
-	for k, h := range hists {
-		snap.Histograms[k] = h.summary()
 	}
 	for k, h := range bucketHists {
 		snap.BucketHistograms[k] = h.summary()
@@ -119,25 +99,6 @@ func (r *Registry) WriteCSV(w io.Writer) error {
 	for _, k := range sortedKeys(snap.Gauges) {
 		if err := cw.Write([]string{"gauge", k, "value", fmtFloat(snap.Gauges[k])}); err != nil {
 			return err
-		}
-	}
-	for _, k := range sortedKeys(snap.Histograms) {
-		h := snap.Histograms[k]
-		for _, f := range []struct {
-			field string
-			value string
-		}{
-			{"count", strconv.FormatUint(h.Count, 10)},
-			{"sum", fmtFloat(h.Sum)},
-			{"min", fmtFloat(h.Min)},
-			{"max", fmtFloat(h.Max)},
-			{"p50", fmtFloat(h.P50)},
-			{"p90", fmtFloat(h.P90)},
-			{"p99", fmtFloat(h.P99)},
-		} {
-			if err := cw.Write([]string{"histogram", k, f.field, f.value}); err != nil {
-				return err
-			}
 		}
 	}
 	for _, k := range sortedKeys(snap.BucketHistograms) {

@@ -18,7 +18,7 @@ import (
 // Handler returns an http.Handler serving the registry:
 //
 //	/metrics        Prometheus text exposition (counters, gauges,
-//	                bucket histograms, reservoir summaries)
+//	                bucket histograms)
 //	/metrics.json   JSON snapshot (adds series and spans)
 //	/metrics.csv    the same snapshot as flat CSV
 //	/trace          finished spans as an indented text tree

@@ -1,7 +1,7 @@
 // Package obs is the repo-wide telemetry layer: counters, gauges,
-// histograms and step series behind a lock-cheap registry, span-based
-// wall-clock tracing, JSON/CSV snapshot export, and an optional HTTP
-// endpoint (metrics dump plus net/http/pprof).
+// bucket histograms and step series behind a lock-cheap registry,
+// span-based wall-clock tracing, JSON/CSV snapshot export, and an
+// optional HTTP endpoint (metrics dump plus net/http/pprof).
 //
 // Telemetry is off by default and every instrumentation site is gated
 // on Enabled(), a single atomic load, so hot paths (simulator ticks,
@@ -66,124 +66,6 @@ func (g *Gauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
 // Value returns the last value Set.
 func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
 
-// histogramCap bounds per-histogram memory; once full, new samples
-// reservoir-replace old ones so quantiles stay representative.
-const histogramCap = 4096
-
-// Histogram records a distribution of float64 observations and
-// reports exact quantiles over the retained sample set.
-type Histogram struct {
-	mu      sync.Mutex
-	samples []float64
-	count   uint64
-	sum     float64
-	min     float64
-	max     float64
-	// lcg drives reservoir replacement once samples exceeds
-	// histogramCap; a fixed-seed linear congruential generator keeps
-	// snapshots deterministic for a deterministic observation stream.
-	lcg uint64
-	// sortedBuf caches the sorted view of samples so repeated quantile
-	// reads (three per snapshot, one snapshot per scrape) sort at most
-	// once per write; Observe invalidates it.
-	sortedBuf []float64
-	sortedOK  bool
-}
-
-// Observe records one sample.
-func (h *Histogram) Observe(v float64) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if h.count == 0 || v < h.min {
-		h.min = v
-	}
-	if h.count == 0 || v > h.max {
-		h.max = v
-	}
-	h.count++
-	h.sum += v
-	h.sortedOK = false
-	if len(h.samples) < histogramCap {
-		h.samples = append(h.samples, v)
-		return
-	}
-	// Vitter's algorithm R with a deterministic LCG.
-	h.lcg = h.lcg*6364136223846793005 + 1442695040888963407
-	if idx := h.lcg % h.count; idx < uint64(len(h.samples)) {
-		h.samples[idx] = v
-	}
-}
-
-// Count returns the number of observations.
-func (h *Histogram) Count() uint64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.count
-}
-
-// Sum returns the sum of all observations.
-func (h *Histogram) Sum() float64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.sum
-}
-
-// Quantile returns the q-quantile (0 <= q <= 1) of the retained
-// samples by linear interpolation, or NaN when empty.
-func (h *Histogram) Quantile(q float64) float64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return quantile(h.sorted(), q)
-}
-
-// sorted returns the cached sorted view of the retained samples,
-// rebuilding it only when an Observe has landed since the last read.
-// The returned slice is owned by the histogram and only valid while
-// mu is held. Callers hold mu.
-func (h *Histogram) sorted() []float64 {
-	if !h.sortedOK {
-		h.sortedBuf = append(h.sortedBuf[:0], h.samples...)
-		sort.Float64s(h.sortedBuf)
-		h.sortedOK = true
-	}
-	return h.sortedBuf
-}
-
-// summary captures the histogram for a snapshot. Callers hold no lock.
-func (h *Histogram) summary() HistogramSummary {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	s := h.sorted()
-	sum := HistogramSummary{Count: h.count, Sum: h.sum}
-	if h.count > 0 {
-		sum.Min, sum.Max = h.min, h.max
-		sum.P50 = quantile(s, 0.5)
-		sum.P90 = quantile(s, 0.9)
-		sum.P99 = quantile(s, 0.99)
-	}
-	return sum
-}
-
-// quantile interpolates the q-quantile of sorted samples s.
-func quantile(s []float64, q float64) float64 {
-	if len(s) == 0 {
-		return math.NaN()
-	}
-	if q <= 0 {
-		return s[0]
-	}
-	if q >= 1 {
-		return s[len(s)-1]
-	}
-	pos := q * float64(len(s)-1)
-	lo := int(pos)
-	frac := pos - float64(lo)
-	if lo+1 >= len(s) {
-		return s[lo]
-	}
-	return s[lo]*(1-frac) + s[lo+1]*frac
-}
-
 // SeriesPoint is one (step, value) observation of a Series.
 type SeriesPoint struct {
 	Step  float64 `json:"step"`
@@ -220,13 +102,12 @@ func (s *Series) Len() int {
 
 // Registry holds named metrics. Get-or-create takes a short RWMutex
 // critical section; after first use each call site holds a pointer
-// and updates are lock-free (counters, gauges) or per-metric locked
-// (histograms, series).
+// and updates are lock-free (counters, gauges, histograms) or
+// per-metric locked (series).
 type Registry struct {
 	mu          sync.RWMutex
 	counters    map[string]*Counter
 	gauges      map[string]*Gauge
-	histograms  map[string]*Histogram
 	bucketHists map[string]*BucketHistogram
 	series      map[string]*Series
 
@@ -239,7 +120,6 @@ func NewRegistry() *Registry {
 	return &Registry{
 		counters:    map[string]*Counter{},
 		gauges:      map[string]*Gauge{},
-		histograms:  map[string]*Histogram{},
 		bucketHists: map[string]*BucketHistogram{},
 		series:      map[string]*Series{},
 	}
@@ -287,23 +167,6 @@ func (r *Registry) Gauge(name string) *Gauge {
 	return g
 }
 
-// Histogram returns the named histogram, creating it on first use.
-func (r *Registry) Histogram(name string) *Histogram {
-	r.mu.RLock()
-	h := r.histograms[name]
-	r.mu.RUnlock()
-	if h != nil {
-		return h
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if h = r.histograms[name]; h == nil {
-		h = &Histogram{}
-		r.histograms[name] = h
-	}
-	return h
-}
-
 // BucketHistogram returns the named fixed-bucket histogram, creating
 // it with the given bucket upper bounds on first use. Later calls
 // return the existing histogram regardless of the bounds argument, so
@@ -349,7 +212,6 @@ func (r *Registry) Reset() {
 	r.mu.Lock()
 	r.counters = map[string]*Counter{}
 	r.gauges = map[string]*Gauge{}
-	r.histograms = map[string]*Histogram{}
 	r.bucketHists = map[string]*BucketHistogram{}
 	r.series = map[string]*Series{}
 	r.mu.Unlock()
@@ -370,9 +232,6 @@ func CounterM(name string) *Counter { return std.Counter(name) }
 
 // GaugeM returns the named gauge from the default registry.
 func GaugeM(name string) *Gauge { return std.Gauge(name) }
-
-// HistogramM returns the named histogram from the default registry.
-func HistogramM(name string) *Histogram { return std.Histogram(name) }
 
 // BucketHistogramM returns the named fixed-bucket histogram from the
 // default registry, creating it with bounds on first use.

@@ -7,6 +7,7 @@ import (
 	"math"
 	"net/http"
 	"os"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -44,8 +45,8 @@ func TestRegistryGetOrCreate(t *testing.T) {
 		t.Fatalf("gauge value = %v, want 2.5", got)
 	}
 
-	if r.Histogram("h") != r.Histogram("h") {
-		t.Fatalf("Histogram(h) not stable")
+	if r.BucketHistogram("h", LatencyMSBuckets) != r.BucketHistogram("h", LatencyMSBuckets) {
+		t.Fatalf("BucketHistogram(h) not stable")
 	}
 	if r.Series("s") != r.Series("s") {
 		t.Fatalf("Series(s) not stable")
@@ -61,53 +62,6 @@ func TestRegistryReset(t *testing.T) {
 	}
 	if snap := r.Snapshot(); len(snap.Counters) != 1 || snap.Counters["c"] != 0 {
 		t.Fatalf("snapshot after reset = %+v", snap.Counters)
-	}
-}
-
-func TestHistogramQuantiles(t *testing.T) {
-	h := &Histogram{}
-	// 1..101 so quantiles are exact under linear interpolation.
-	for i := 1; i <= 101; i++ {
-		h.Observe(float64(i))
-	}
-	for _, tc := range []struct{ q, want float64 }{
-		{0, 1}, {0.25, 26}, {0.5, 51}, {0.75, 76}, {1, 101},
-	} {
-		if got := h.Quantile(tc.q); math.Abs(got-tc.want) > 1e-9 {
-			t.Errorf("Quantile(%v) = %v, want %v", tc.q, got, tc.want)
-		}
-	}
-	if h.Count() != 101 {
-		t.Errorf("Count = %d, want 101", h.Count())
-	}
-	if got := h.Sum(); math.Abs(got-101*51) > 1e-9 {
-		t.Errorf("Sum = %v, want %v", got, 101*51)
-	}
-	if got := (&Histogram{}).Quantile(0.5); !math.IsNaN(got) {
-		t.Errorf("empty histogram quantile = %v, want NaN", got)
-	}
-}
-
-func TestHistogramReservoirBounded(t *testing.T) {
-	h := &Histogram{}
-	n := histogramCap * 4
-	for i := 0; i < n; i++ {
-		h.Observe(float64(i))
-	}
-	if len(h.samples) != histogramCap {
-		t.Fatalf("retained %d samples, want cap %d", len(h.samples), histogramCap)
-	}
-	if h.Count() != uint64(n) {
-		t.Fatalf("Count = %d, want %d", h.Count(), n)
-	}
-	s := h.summary()
-	if s.Min != 0 || s.Max != float64(n-1) {
-		t.Fatalf("min/max = %v/%v, want 0/%v", s.Min, s.Max, n-1)
-	}
-	// The reservoir median of a uniform 0..n stream should land well
-	// inside the middle half.
-	if med := h.Quantile(0.5); med < float64(n)/4 || med > 3*float64(n)/4 {
-		t.Fatalf("reservoir median %v implausible for uniform 0..%d", med, n)
 	}
 }
 
@@ -198,7 +152,7 @@ func TestSnapshotJSONRoundTrip(t *testing.T) {
 		r := NewRegistry()
 		r.Counter("ticks").Add(42)
 		r.Gauge("rate").Set(3.25)
-		h := r.Histogram("lat")
+		h := r.BucketHistogram("lat", LatencyMSBuckets)
 		for i := 1; i <= 4; i++ {
 			h.Observe(float64(i))
 		}
@@ -221,12 +175,14 @@ func TestSnapshotJSONRoundTrip(t *testing.T) {
 		if got.Gauges["rate"] != 3.25 {
 			t.Errorf("rate = %v, want 3.25", got.Gauges["rate"])
 		}
-		hs := got.Histograms["lat"]
-		if hs.Count != 4 || hs.Min != 1 || hs.Max != 4 || hs.Sum != 10 {
-			t.Errorf("lat summary = %+v", hs)
+		hs := got.BucketHistograms["lat"]
+		if hs.Count != 4 || hs.Sum != 10 || !reflect.DeepEqual(hs.Buckets, h.Summary().Buckets) {
+			t.Errorf("lat summary = %+v, want %+v", hs, h.Summary())
 		}
-		if math.Abs(hs.P50-2.5) > 1e-9 {
-			t.Errorf("lat p50 = %v, want 2.5", hs.P50)
+		// 1 | 2 | 3, 4 in the buckets <=1, <=2.5, <=5: the median
+		// interpolates to the top of the <=2.5 bucket.
+		if p50 := hs.Quantile(0.5); math.Abs(p50-2.5) > 1e-9 {
+			t.Errorf("lat p50 = %v, want 2.5", p50)
 		}
 		want := []SeriesPoint{{0, 0.5}, {1, 0.25}}
 		if len(got.Series["loss"]) != 2 || got.Series["loss"][0] != want[0] || got.Series["loss"][1] != want[1] {
@@ -242,7 +198,7 @@ func TestSnapshotCSV(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("c1").Add(5)
 	r.Gauge("g1").Set(1.5)
-	r.Histogram("h1").Observe(2)
+	r.BucketHistogram("h1", LatencyMSBuckets).Observe(2)
 	r.Series("s1").Append(0, 9)
 
 	var buf bytes.Buffer
@@ -257,10 +213,10 @@ func TestSnapshotCSV(t *testing.T) {
 		t.Fatalf("csv header = %v", rows)
 	}
 	want := map[string]bool{
-		"counter,c1,value,5":   false,
-		"gauge,g1,value,1.5":   false,
-		"histogram,h1,count,1": false,
-		"series,s1,0,9":        false,
+		"counter,c1,value,5":          false,
+		"gauge,g1,value,1.5":          false,
+		"bucket_histogram,h1,count,1": false,
+		"series,s1,0,9":               false,
 	}
 	for _, row := range rows[1:] {
 		key := strings.Join(row, ",")
@@ -371,7 +327,7 @@ func TestConcurrentRegistryAccess(t *testing.T) {
 				for i := 0; i < iters; i++ {
 					r.Counter("shared.counter").Inc()
 					r.Gauge("shared.gauge").Set(float64(i))
-					r.Histogram("shared.hist").Observe(float64(i))
+					r.BucketHistogram("shared.hist", LatencyMSBuckets).Observe(float64(i))
 					r.Series("shared.series").Append(float64(i), float64(w))
 					sp := r.StartSpan("shared.span")
 					sp.StartChild("leaf").End()
@@ -386,7 +342,7 @@ func TestConcurrentRegistryAccess(t *testing.T) {
 		if got := r.Counter("shared.counter").Value(); got != workers*iters {
 			t.Fatalf("counter = %d, want %d", got, workers*iters)
 		}
-		if got := r.Histogram("shared.hist").Count(); got != workers*iters {
+		if got := r.BucketHistogram("shared.hist", LatencyMSBuckets).Count(); got != workers*iters {
 			t.Fatalf("histogram count = %d, want %d", got, workers*iters)
 		}
 		if got := r.Series("shared.series").Len(); got != workers*iters {
@@ -418,59 +374,5 @@ func BenchmarkEnabledCounterAdd(b *testing.B) {
 	c := NewRegistry().Counter("bench.enabled")
 	for i := 0; i < b.N; i++ {
 		c.Inc()
-	}
-}
-
-// TestHistogramQuantileCacheInvalidation guards the sorted-view cache:
-// a Quantile after new Observes must reflect the new samples, not a
-// stale sorted buffer.
-func TestHistogramQuantileCacheInvalidation(t *testing.T) {
-	h := NewRegistry().Histogram("cache")
-	for i := 1; i <= 10; i++ {
-		h.Observe(float64(i))
-	}
-	if got := h.Quantile(1); got != 10 {
-		t.Fatalf("max = %v, want 10", got)
-	}
-	h.Observe(100)
-	if got := h.Quantile(1); got != 100 {
-		t.Errorf("max after new observation = %v, want 100 (stale sort cache?)", got)
-	}
-	if got := h.Quantile(0); got != 1 {
-		t.Errorf("min = %v, want 1", got)
-	}
-}
-
-// BenchmarkHistogramQuantileWarm is the satellite-1 receipt: repeated
-// Quantile calls on an unchanged reservoir hit the cached sorted view
-// instead of re-sorting 4096 samples per call. Compare against
-// BenchmarkHistogramQuantileCold, which invalidates between calls.
-func BenchmarkHistogramQuantileWarm(b *testing.B) {
-	h := NewRegistry().Histogram("bench.quantile")
-	for i := 0; i < 4096; i++ {
-		h.Observe(float64(i * 2654435761 % 9973))
-	}
-	h.Quantile(0.5) // prime the cache
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		h.Quantile(0.5)
-		h.Quantile(0.9)
-		h.Quantile(0.99)
-	}
-}
-
-// BenchmarkHistogramQuantileCold re-observes before each read, forcing
-// the re-sort every call — the pre-cache behavior for every call.
-func BenchmarkHistogramQuantileCold(b *testing.B) {
-	h := NewRegistry().Histogram("bench.quantile")
-	for i := 0; i < 4096; i++ {
-		h.Observe(float64(i * 2654435761 % 9973))
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		h.Observe(float64(i))
-		h.Quantile(0.5)
-		h.Quantile(0.9)
-		h.Quantile(0.99)
 	}
 }

@@ -8,17 +8,12 @@ import (
 )
 
 // Prometheus text exposition (format version 0.0.4), the scrape
-// surface `GET /metrics` serves and the contract pcnn-serve's SLO
-// dashboards will build on. Mapping from the registry:
+// surface `GET /metrics` serves. Mapping from the registry:
 //
 //   - Counter  -> counter
 //   - Gauge    -> gauge
 //   - BucketHistogram -> histogram (`_bucket{le=...}` cumulative
 //     finite buckets plus `+Inf`, `_sum`, `_count`)
-//   - Histogram (reservoir) -> summary (p50/p90/p99 quantile labels,
-//     `_sum`, `_count`); reservoir quantiles are per-process
-//     estimates, not mergeable — prefer BucketHistogram for anything
-//     a dashboard aggregates.
 //   - Series are not exposed: an unbounded (step, value) log is not
 //     scrape-safe. They remain in the JSON/CSV snapshot exports.
 //
@@ -44,13 +39,6 @@ func promName(name string) string {
 	return b.String()
 }
 
-// promLabelEscape escapes a label value per the exposition format:
-// backslash, double-quote and newline.
-func promLabelEscape(v string) string {
-	r := strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`)
-	return r.Replace(v)
-}
-
 // promFloat renders a sample value. Prometheus accepts NaN/Inf
 // spellings as produced by strconv for float64.
 func promFloat(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
@@ -66,10 +54,6 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 	gauges := make(map[string]*Gauge, len(r.gauges))
 	for k, v := range r.gauges {
 		gauges[k] = v
-	}
-	hists := make(map[string]*Histogram, len(r.histograms))
-	for k, v := range r.histograms {
-		hists[k] = v
 	}
 	buckets := make(map[string]*BucketHistogram, len(r.bucketHists))
 	for k, v := range r.bucketHists {
@@ -94,21 +78,6 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 			fmt.Fprintf(&b, "%s_bucket{le=%q} %d\n", n, promFloat(bc.LE), bc.Count)
 		}
 		fmt.Fprintf(&b, "%s_bucket{le=\"+Inf\"} %d\n", n, s.Count)
-		fmt.Fprintf(&b, "%s_sum %s\n", n, promFloat(s.Sum))
-		fmt.Fprintf(&b, "%s_count %d\n", n, s.Count)
-	}
-	for _, k := range sortedKeys(hists) {
-		n := promName(k)
-		s := hists[k].summary()
-		fmt.Fprintf(&b, "# TYPE %s summary\n", n)
-		if s.Count > 0 {
-			for _, q := range []struct {
-				label string
-				v     float64
-			}{{"0.5", s.P50}, {"0.9", s.P90}, {"0.99", s.P99}} {
-				fmt.Fprintf(&b, "%s{quantile=\"%s\"} %s\n", n, promLabelEscape(q.label), promFloat(q.v))
-			}
-		}
 		fmt.Fprintf(&b, "%s_sum %s\n", n, promFloat(s.Sum))
 		fmt.Fprintf(&b, "%s_count %d\n", n, s.Count)
 	}

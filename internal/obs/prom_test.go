@@ -3,7 +3,6 @@ package obs
 import (
 	"bytes"
 	"flag"
-	"fmt"
 	"math"
 	"os"
 	"path/filepath"
@@ -27,11 +26,6 @@ func promTestRegistry() *Registry {
 	for _, v := range []float64{0.2, 0.4, 0.9, 2, 7} {
 		bh.Observe(v)
 	}
-	h := r.Histogram("detect.level_windows")
-	for i := 1; i <= 100; i++ {
-		h.Observe(float64(i))
-	}
-	r.Histogram("empty.summary")
 	r.Series("detect.level_ms_series").Append(0, 3) // must NOT be exposed
 	return r
 }
@@ -156,27 +150,7 @@ func TestPromNameAndEscape(t *testing.T) {
 			t.Errorf("promName(%q) = %q, want %q", in, got, want)
 		}
 	}
-	if got := promLabelEscape("a\"b\\c\nd"); got != `a\"b\\c\nd` {
-		t.Errorf("promLabelEscape = %q", got)
-	}
 	if got := promFloat(math.Inf(1)); got != "+Inf" {
 		t.Errorf("promFloat(+Inf) = %q", got)
-	}
-}
-
-func TestPrometheusEmptySummarySkipsQuantiles(t *testing.T) {
-	r := NewRegistry()
-	r.Histogram("never.observed")
-	var b bytes.Buffer
-	if err := r.WritePrometheus(&b); err != nil {
-		t.Fatal(err)
-	}
-	out := b.String()
-	if strings.Contains(out, "quantile") {
-		t.Errorf("empty summary must omit quantile samples:\n%s", out)
-	}
-	want := fmt.Sprintf("never_observed_count %d\n", 0)
-	if !strings.Contains(out, want) {
-		t.Errorf("missing %q in:\n%s", want, out)
 	}
 }

@@ -55,18 +55,6 @@ func (m *Model) Save(w io.Writer) error {
 	return json.NewEncoder(w).Encode(m)
 }
 
-// Load reads a model written by Save.
-func Load(r io.Reader) (*Model, error) {
-	var m Model
-	if err := json.NewDecoder(r).Decode(&m); err != nil {
-		return nil, err
-	}
-	if len(m.W) == 0 {
-		return nil, errors.New("svm: empty model")
-	}
-	return &m, nil
-}
-
 // TrainOptions controls dual coordinate descent.
 type TrainOptions struct {
 	// C is the soft-margin penalty (upper bound on dual variables).

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 )
 
@@ -244,10 +245,9 @@ func forceResetMode(t *testing.T, m *Model, mode ResetMode) {
 
 // TestShardedEquivalence is the shard-sweep property test: random
 // hostile models (stochastic neurons included), both reset modes
-// forced, across shard counts {1,2,3,8,16} and both partition
-// strategies, must produce spike-for-spike identical traces, output
-// counts, energy stats and final membrane potentials to the dense
-// oracle.
+// forced, across shard counts {1,2,3,8,16}, must produce
+// spike-for-spike identical traces, output counts, energy stats and
+// final membrane potentials to the dense oracle.
 func TestShardedEquivalence(t *testing.T) {
 	models, ticks := 50, 128
 	if raceEnabled {
@@ -267,15 +267,9 @@ func TestShardedEquivalence(t *testing.T) {
 				mRef := build()
 				want := oracleRun(t, mRef, noiseSeed, ticks, sparseSchedule(mRef.NumInputs(), modelSeed))
 				for _, nsh := range shardSweepCounts() {
-					// Alternate partitioners across the sweep; identity
-					// must hold for any assignment.
-					strategy := PartitionBlock
-					if nsh%2 == 1 {
-						strategy = PartitionMinCut
-					}
 					m := build()
 					got := simRun(t, m, noiseSeed, ticks, sparseSchedule(m.NumInputs(), modelSeed),
-						WithShards(nsh), WithPartitionStrategy(strategy))
+						WithShards(nsh))
 					sameRun(t, fmt.Sprintf("mode=%v shards=%d (model seed %d)", mode, nsh, modelSeed), want, got)
 				}
 			}
@@ -287,20 +281,30 @@ func TestShardedEquivalence(t *testing.T) {
 // the run -> Reset -> rerun cycle the extraction pipelines use: both
 // runs must match the one-shard simulator's corresponding runs exactly
 // (mailboxes, per-shard counters and ring lists all clear; per-core
-// noise streams keep their positions on every shard).
+// noise streams keep their positions on every shard). The model has at
+// least as many cores as the largest swept shard count, so no count
+// clamps.
 func TestShardedEquivalenceAfterReset(t *testing.T) {
 	const ticks = 96
+	maxShards := slices.Max(shardSweepCounts())
 	for _, nsh := range shardSweepCounts() {
 		t.Run(fmt.Sprintf("shards%d", nsh), func(t *testing.T) {
 			build := func() *Model {
-				return randomModelN(t, rand.New(rand.NewSource(11)), 12)
+				m := randomModelN(t, rand.New(rand.NewSource(43)), 16)
+				if m.NumCores() < maxShards {
+					t.Fatalf("model has %d cores, want at least %d", m.NumCores(), maxShards)
+				}
+				return m
 			}
-			run := func(m *Model, opts ...Option) ([]TraceEvent, []TraceEvent) {
+			run := func(m *Model, wantShards int, opts ...Option) ([]TraceEvent, []TraceEvent) {
 				sim, err := NewSimulator(m, 99, opts...)
 				if err != nil {
 					t.Fatal(err)
 				}
 				defer sim.Close()
+				if sim.Shards() != wantShards {
+					t.Fatalf("simulator runs %d shards, want %d", sim.Shards(), wantShards)
+				}
 				in := sparseSchedule(m.NumInputs(), 11)
 				tr1 := NewTrace()
 				sim.SetTrace(tr1)
@@ -315,8 +319,11 @@ func TestShardedEquivalenceAfterReset(t *testing.T) {
 				}
 				return tr1.Events, tr2.Events
 			}
-			r1, r2 := run(build())
-			s1, s2 := run(build(), WithShards(nsh), WithPartitionStrategy(PartitionMinCut))
+			r1, r2 := run(build(), 1)
+			if len(r1) == 0 {
+				t.Fatal("first run fired no spikes")
+			}
+			s1, s2 := run(build(), nsh, WithShards(nsh))
 			if !reflect.DeepEqual(r1, s1) {
 				t.Fatalf("shards=%d: first runs diverged (%d vs %d events)", nsh, len(r1), len(s1))
 			}

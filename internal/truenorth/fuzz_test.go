@@ -130,9 +130,7 @@ func FuzzModelRoundTrip(f *testing.F) {
 // count must both produce the dense oracle's trace, output counts,
 // energy stats and final membrane potentials. The shard count folds
 // into [0, 2*ChipCores/256] before the simulator's own clamp so the
-// fuzzer exercises both the n<=1 and n>NumCores edges; odd counts use
-// the min-cut partitioner so both partition strategies stay under
-// fuzz.
+// fuzzer exercises both the n<=1 and n>NumCores edges.
 func FuzzShardEquivalence(f *testing.F) {
 	f.Add(fuzzModelJSON(f), int64(1), uint8(3), uint8(40), []byte{0, 0, 1, 1, 5, 0, 9, 1})
 	f.Add(fuzzModelJSON(f), int64(-9), uint8(2), uint8(17), []byte{})
@@ -153,15 +151,11 @@ func FuzzShardEquivalence(f *testing.F) {
 		}
 		ticks := 1 + int(nTicks)%96
 		nsh := int(shards) % 33
-		strategy := PartitionBlock
-		if nsh%2 == 1 {
-			strategy = PartitionMinCut
-		}
 		inputFn := scheduleInputs(schedule, ticks, probe.NumInputs())
 		want := oracleRun(t, probe, seed, ticks, inputFn)
 		sameRun(t, "one shard", want, simRun(t, build(), seed, ticks, inputFn))
 		sameRun(t, fmt.Sprintf("shards=%d", nsh), want,
-			simRun(t, build(), seed, ticks, inputFn, WithShards(nsh), WithPartitionStrategy(strategy)))
+			simRun(t, build(), seed, ticks, inputFn, WithShards(nsh)))
 	})
 }
 

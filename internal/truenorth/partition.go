@@ -1,62 +1,20 @@
 package truenorth
 
-import "fmt"
-
 // Core-graph partitioning for the sharded execution mode (shard.go).
 // A Partition assigns every core to exactly one shard; the sharded
 // engine runs each shard on its own goroutine and pays a mailbox hop
-// for every route edge that crosses shards, so the partitioner's job
-// is load balance first and cross-shard edge count second.
+// for every route edge that crosses shards.
 //
-// Both strategies are fully deterministic functions of (model, shard
-// count): the same model always partitions the same way, which the
-// bit-identity contract (differential_test.go) relies on when it
-// replays a run at a different shard count.
-
-// PartitionStrategy selects how PartitionModel assigns cores to shards.
-type PartitionStrategy int
-
-const (
-	// PartitionBlock assigns contiguous, balanced core-ID ranges:
-	// shard k owns cores [k*N/n, (k+1)*N/n). Corelet builders lay
-	// related cores out consecutively (napprox allocates each cell
-	// module's cores in a block), so contiguous ranges already keep
-	// most traffic shard-local, and the assignment is O(N).
-	PartitionBlock PartitionStrategy = iota
-	// PartitionMinCut starts from the block partition and greedily
-	// refines it against the route graph: deterministic passes move a
-	// core to the neighbouring shard holding most of its synaptic
-	// traffic whenever that strictly reduces the number of cross-shard
-	// route edges, subject to a balance cap of ceil(N/n) cores per
-	// shard (and no shard emptied). This is a Kernighan–Lin-style
-	// local search, the classic template for dividing neurosynaptic
-	// fabric among subnetworks.
-	PartitionMinCut
-)
-
-// String returns the flag-level name of the strategy.
-func (p PartitionStrategy) String() string {
-	if p == PartitionMinCut {
-		return "mincut"
-	}
-	return "block"
-}
-
-// ParsePartitionStrategy converts a flag value ("block" or "mincut")
-// to a PartitionStrategy.
-func ParsePartitionStrategy(s string) (PartitionStrategy, error) {
-	switch s {
-	case "block":
-		return PartitionBlock, nil
-	case "mincut":
-		return PartitionMinCut, nil
-	}
-	return 0, fmt.Errorf("truenorth: unknown partition strategy %q (want block or mincut)", s)
-}
+// The partition is contiguous, balanced core-ID ranges: shard k owns
+// cores [k*N/n, (k+1)*N/n). Corelets lay related cores out
+// consecutively (napprox allocates each cell module's cores in a
+// block), so contiguous ranges already keep most traffic shard-local,
+// and the assignment is O(N) and a pure function of (model, shard
+// count), which the bit-identity contract (differential_test.go)
+// relies on when it replays a run at a different shard count.
 
 // Partition is a complete shard assignment for a model's cores.
 type Partition struct {
-	Strategy PartitionStrategy
 	// Owner maps core ID -> shard index. len(Owner) == model cores.
 	Owner []int
 	// Cores lists each shard's cores in ascending ID order; every core
@@ -73,8 +31,8 @@ func (p Partition) Shards() int { return len(p.Cores) }
 
 // PartitionModel partitions m's cores across the given number of
 // shards (clamped to [1, NumCores]; an empty model yields one empty
-// shard) using the given strategy.
-func PartitionModel(m *Model, shards int, strategy PartitionStrategy) Partition {
+// shard) in contiguous balanced ranges.
+func PartitionModel(m *Model, shards int) Partition {
 	n := m.NumCores()
 	if shards < 1 || n == 0 {
 		shards = 1
@@ -87,11 +45,7 @@ func PartitionModel(m *Model, shards int, strategy PartitionStrategy) Partition 
 		// Contiguous balanced ranges; shard sizes differ by at most 1.
 		owner[c] = c * shards / n
 	}
-	p := Partition{Strategy: strategy, Owner: owner}
-	if strategy == PartitionMinCut && shards > 1 {
-		refineMinCut(m, owner, shards)
-	}
-	p.Cores = make([][]int, shards)
+	p := Partition{Owner: owner, Cores: make([][]int, shards)}
 	sizes := make([]int, shards)
 	for _, k := range owner {
 		sizes[k]++
@@ -104,148 +58,6 @@ func PartitionModel(m *Model, shards int, strategy PartitionStrategy) Partition 
 	}
 	p.CrossEdges = countCrossEdges(m, owner)
 	return p
-}
-
-// routeAdjacency builds, for every core, its undirected weighted
-// neighbour list over the route graph: weight(a,b) counts route-table
-// entries between a and b in either direction. Neighbour lists are
-// ascending by core ID, so everything downstream is deterministic.
-func routeAdjacency(m *Model) [][]adjEdge {
-	n := m.NumCores()
-	adj := make([][]adjEdge, n)
-	// Count directed edges first, then fold into symmetric lists.
-	deg := make([]int, n)
-	for c := 0; c < n; c++ {
-		core := m.Core(c)
-		for nn := 0; nn < core.Neurons; nn++ {
-			t := m.RouteOf(c, nn)
-			if t.IsDisconnected() || t.IsExternal() || t.Core == c {
-				continue
-			}
-			deg[c]++
-			deg[t.Core]++
-		}
-	}
-	for c := 0; c < n; c++ {
-		adj[c] = make([]adjEdge, 0, deg[c])
-	}
-	add := func(a, b int) {
-		for i := range adj[a] {
-			if adj[a][i].core == b {
-				adj[a][i].weight++
-				return
-			}
-		}
-		adj[a] = append(adj[a], adjEdge{core: b, weight: 1})
-	}
-	for c := 0; c < n; c++ {
-		core := m.Core(c)
-		for nn := 0; nn < core.Neurons; nn++ {
-			t := m.RouteOf(c, nn)
-			if t.IsDisconnected() || t.IsExternal() || t.Core == c {
-				continue
-			}
-			add(c, t.Core)
-			add(t.Core, c)
-		}
-	}
-	return adj
-}
-
-type adjEdge struct {
-	core   int
-	weight int
-}
-
-// refineMinCut runs bounded deterministic Kernighan–Lin-style passes
-// over the cores in ascending ID order. For each core it finds the
-// foreign shard holding the plurality of its route weight; if moving
-// there strictly reduces the cut and the destination is below the
-// balance cap (and the source keeps at least one core), the core
-// moves. When the destination is full — the common case once the
-// partition is balanced — it instead looks for the best reciprocal
-// partner in that shard and swaps the pair when the combined gain
-// D(c) + D(partner) - 2*w(c,partner) is strictly positive, which
-// preserves shard sizes exactly. Ties break toward the lowest shard /
-// core index, the pass count is bounded so pathological models cannot
-// spin, and everything is a pure function of (model, shards). The swap
-// search makes a blocked core cost O(N); acceptable for a one-time,
-// opt-in construction pass.
-func refineMinCut(m *Model, owner []int, shards int) {
-	n := len(owner)
-	adj := routeAdjacency(m)
-	sizes := make([]int, shards)
-	for _, k := range owner {
-		sizes[k]++
-	}
-	capPerShard := (n + shards - 1) / shards
-	gain := make([]int, shards)
-	gain2 := make([]int, shards)
-	const maxPasses = 8
-	for pass := 0; pass < maxPasses; pass++ {
-		moved := false
-		for c := 0; c < n; c++ {
-			src := owner[c]
-			if len(adj[c]) == 0 {
-				continue
-			}
-			for k := range gain {
-				gain[k] = 0
-			}
-			for _, e := range adj[c] {
-				gain[owner[e.core]] += e.weight
-			}
-			best := -1
-			for k := 0; k < shards; k++ {
-				if k != src && (best < 0 || gain[k] > gain[best]) {
-					best = k
-				}
-			}
-			if best < 0 || gain[best] < gain[src] {
-				continue
-			}
-			dC := gain[best] - gain[src]
-			if dC > 0 && sizes[best] < capPerShard && sizes[src] > 1 {
-				owner[c] = best
-				sizes[src]--
-				sizes[best]++
-				moved = true
-				continue
-			}
-			// Destination full (or the move alone is gain-neutral):
-			// look for a swap partner in the target shard.
-			bestSwap, bestSwapGain := -1, 0
-			for c2 := 0; c2 < n; c2++ {
-				if owner[c2] != best {
-					continue
-				}
-				for k := range gain2 {
-					gain2[k] = 0
-				}
-				for _, e := range adj[c2] {
-					gain2[owner[e.core]] += e.weight
-				}
-				w := 0
-				for _, e := range adj[c] {
-					if e.core == c2 {
-						w = e.weight
-						break
-					}
-				}
-				if sg := dC + gain2[src] - gain2[best] - 2*w; sg > bestSwapGain {
-					bestSwap, bestSwapGain = c2, sg
-				}
-			}
-			if bestSwap >= 0 {
-				owner[c] = best
-				owner[bestSwap] = src
-				moved = true
-			}
-		}
-		if !moved {
-			break
-		}
-	}
 }
 
 // countCrossEdges counts route-table entries whose source and target

@@ -71,3 +71,75 @@ func TestEnergyConsistencyWithObsMetrics(t *testing.T) {
 		t.Error("direct energy should be positive")
 	}
 }
+
+// TestActivityHistogramsCountEveryTick pins the simulator's published
+// activity histograms against its own tallies, as deltas across one
+// Run of more ticks than a sampled histogram would keep, at one and at
+// three shards: truenorth.active_cores_per_tick gains one observation
+// per tick summing to the run's scheduled cores (read off a one-shard
+// twin's worklists, tick by tick), and truenorth.run_spikes_routed's
+// sum grows by the run's SpikesRouted. Ticks stepped before a Reset
+// are dropped unpublished.
+func TestActivityHistogramsCountEveryTick(t *testing.T) {
+	prev := obs.Enabled()
+	obs.Enable()
+	defer func() {
+		if !prev {
+			obs.Disable()
+		}
+	}()
+	const ticks = 5000
+	// A relay chain under a sparse input schedule: how many cores are
+	// active varies from tick to tick.
+	build := func() *Model { return chainModel(t, 16) }
+	in := func(m *Model) func(int) []int { return sparseSchedule(m.NumInputs(), 43) }
+
+	mTwin := build()
+	twin, err := NewSimulator(mTwin, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inTwin := in(mTwin)
+	var wantActive uint64
+	for tk := 0; tk < ticks; tk++ {
+		if err := twin.InjectInputs(inTwin(tk)); err != nil {
+			t.Fatal(err)
+		}
+		twin.Step()
+		wantActive += uint64(len(twin.shards.shards[0].work))
+	}
+	if wantActive == 0 || wantActive == ticks*uint64(mTwin.NumCores()) {
+		t.Fatalf("%d core-ticks active of %d; the test needs a varying count", wantActive, ticks*mTwin.NumCores())
+	}
+
+	active := obs.BucketHistogramM("truenorth.active_cores_per_tick", obs.SpikeBuckets)
+	routed := obs.BucketHistogramM("truenorth.run_spikes_routed", obs.CountBuckets)
+	for _, nsh := range []int{1, 3} {
+		m := build()
+		sim, err := NewSimulator(m, 5, WithShards(nsh))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sim.Shards() != nsh {
+			t.Fatalf("simulator runs %d shards, want %d", sim.Shards(), nsh)
+		}
+		for tk := 0; tk < 7; tk++ {
+			sim.Step()
+		}
+		sim.Reset()
+		count0, sum0, routed0 := active.Count(), active.Sum(), routed.Sum()
+		if _, err := sim.Run(ticks, in(m)); err != nil {
+			t.Fatal(err)
+		}
+		if got := active.Count() - count0; got != ticks {
+			t.Errorf("shards=%d: active_cores_per_tick gained %d observations, want %d", nsh, got, ticks)
+		}
+		if got := active.Sum() - sum0; got != float64(wantActive) {
+			t.Errorf("shards=%d: active_cores_per_tick sum grew by %v, want %d", nsh, got, wantActive)
+		}
+		if got, want := routed.Sum()-routed0, float64(sim.SpikesRouted()); got != want || want == 0 {
+			t.Errorf("shards=%d: run_spikes_routed sum grew by %v, want SpikesRouted %v (> 0)", nsh, got, want)
+		}
+		sim.Close()
+	}
+}

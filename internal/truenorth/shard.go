@@ -84,7 +84,7 @@ type simShard struct {
 	// barrier's other half.
 	start chan struct{}
 	// work is the shard's reusable worklist for the last tick; Step
-	// sums its length into the active-core sample after the tick
+	// sums its length into the tick's active-core count after the tick
 	// (deterministic regardless of completion order).
 	work []int
 	// outBuf collects this shard's external output spikes for the
