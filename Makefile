@@ -62,7 +62,8 @@ perfbench-check:
 # 1): address and address mod 64 of eedn.(*Dense).preact,
 # svm.(*Model).Score, the block-plane SVM kernel
 # hog.(*Extractor).LinearScoresInto, the FPGA-HoG cell pass
-# hog.(*FPGAExtractor).fixedCellPass, the detection level loop
+# hog.(*FPGAExtractor).fixedCellPass, the bilinear pyramid kernel
+# imgproc.resizeRows, the detection level loop
 # detect.(*scanState).runLevel and detect.NMSInto, and the simulator's
 # tick loops truenorth.(*Simulator).Step, (*Simulator).runShardTick,
 # (*Core).fire and (*Core).Integrate, then a SHA-256 of the binary's
@@ -79,6 +80,7 @@ perfbench-layout:
 		awk '$$3 == "repro/internal/eedn.(*Dense).preact" || $$3 == "repro/internal/svm.(*Model).Score" || \
 			$$3 == "repro/internal/hog.(*Extractor).LinearScoresInto" || \
 			$$3 == "repro/internal/hog.(*FPGAExtractor).fixedCellPass" || \
+			$$3 == "repro/internal/imgproc.resizeRows" || \
 			$$3 == "repro/internal/detect.(*scanState).runLevel" || $$3 == "repro/internal/detect.NMSInto" || \
 			$$3 == "repro/internal/truenorth.(*Simulator).Step" || \
 			$$3 == "repro/internal/truenorth.(*Simulator).runShardTick" || \
@@ -143,6 +145,7 @@ fuzz:
 	$(GO) test ./internal/truenorth -run '^$$' -fuzz '^FuzzShardEquivalence$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/eedn -run '^$$' -fuzz '^FuzzDenseTrinary$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/imgproc -run '^$$' -fuzz '^FuzzReadPGM$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/imgproc -run '^$$' -fuzz '^FuzzResizeRows$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/hog -run '^$$' -fuzz '^FuzzLinearScores$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/hog -run '^$$' -fuzz '^FuzzFPGAGridInto$$' -fuzztime $(FUZZTIME)
 

@@ -415,8 +415,9 @@ func (s *Sequence) runLevel(sc *workerScratch, li int) {
 
 // refreshLevelImage brings a deeper level's image up to date with the
 // already-updated base image, recomputing only the output rows whose
-// bilinear source rows changed (forceAll recomputes everything — used
-// under pan, where every base pixel moved).
+// bilinear source rows changed. imgproc.SourceRows names those rows
+// with the resize kernel's own row taps. forceAll recomputes everything
+// — used under pan, where every base pixel moved.
 func (s *Sequence) refreshLevelImage(lv *seqLevel, forceAll bool) {
 	base := s.lv[0]
 	if forceAll {
@@ -426,22 +427,8 @@ func (s *Sequence) refreshLevelImage(lv *seqLevel, forceAll bool) {
 		imgproc.ResizeRowsInto(lv.img, base.img, 0, lv.h)
 		return
 	}
-	sy := float64(base.h) / float64(lv.h)
 	for y := 0; y < lv.h; y++ {
-		iy := int(math.Floor((float64(y)+0.5)*sy - 0.5))
-		r0, r1 := iy, iy+1
-		if r0 < 0 {
-			r0 = 0
-		}
-		if r0 >= base.h {
-			r0 = base.h - 1
-		}
-		if r1 < 0 {
-			r1 = 0
-		}
-		if r1 >= base.h {
-			r1 = base.h - 1
-		}
+		r0, r1 := imgproc.SourceRows(base.h, lv.h, y)
 		lv.changed[y] = base.changed[r0] || base.changed[r1]
 	}
 	for y := 0; y < lv.h; {

@@ -115,7 +115,8 @@ var fpgaGradTable = sync.OnceValue(func() []uint16 {
 // magnitude and bin from tab (fpgaGradTable); any other (pixels
 // outside [0, 1], ±Inf, the rails) runs the saturating arithmetic.
 // The zero gradient, which the arithmetic skips, has table entry 0 and
-// adds nothing.
+// adds nothing. The table path's differences and sums saturate against
+// the Q16_8 rails as constants (saturateQ16_8).
 //
 //pcnn:hotpath
 func (e *FPGAExtractor) fixedCellPass(g *Grid, pix []int64, iw, ih int, tab []uint16) {
@@ -150,15 +151,15 @@ func (e *FPGAExtractor) fixedCellPass(g *Grid, pix []int64, iw, ih int, tab []ui
 					if xr >= iw {
 						xr = iw - 1
 					}
-					ix := q.Sub(pix[rowC+xr], pix[rowC+xl])
-					iy := q.Sub(pix[rowU+x], pix[rowD+x])
+					ix := saturateQ16_8(pix[rowC+xr] - pix[rowC+xl])
+					iy := saturateQ16_8(pix[rowU+x] - pix[rowD+x])
 					ti, tj := uint64(ix+fpgaGradMax), uint64(iy+fpgaGradMax)
 					if ti < fpgaGradSide && tj < fpgaGradSide {
 						// b < fpgaBins by construction; indexing the
 						// array with a 4-bit value needs no bounds check.
 						v := tab[ti*fpgaGradSide+tj]
 						b := v & 15
-						histArr[b] = q.Add(histArr[b], int64(v>>4))
+						histArr[b] = saturateQ16_8(histArr[b] + int64(v>>4))
 						continue
 					}
 					mag := q.Sqrt(q.Add(q.Mul(ix, ix), q.Mul(iy, iy)))
@@ -172,6 +173,21 @@ func (e *FPGAExtractor) fixedCellPass(g *Grid, pix []int64, iw, ih int, tab []ui
 			}
 		}
 	}
+}
+
+// fpgaRailMax and fpgaRailMin are the Q16_8 rails, fixed.Q16_8.Max()
+// and Min() as constants.
+const (
+	fpgaRailMax = 1<<15 - 1
+	fpgaRailMin = -1 << 15
+)
+
+// saturateQ16_8 is fixed.Q16_8.Saturate against the constant rails:
+// fixedCellPass's q.Add and q.Sub without recomputing the rails from
+// the format on every call. NewFPGAExtractor pins the datapath to
+// Q16_8, which fpgaGradTable assumes too.
+func saturateQ16_8(raw int64) int64 {
+	return min(max(raw, fpgaRailMin), fpgaRailMax)
 }
 
 // maxFixedBins bounds the on-stack histogram of the fixed-point cell

@@ -38,6 +38,26 @@ func TestFPGAGradTable(t *testing.T) {
 	}
 }
 
+// TestFPGARails checks that the cell pass's constant rails are those
+// of the format NewFPGAExtractor pins: saturateQ16_8 must agree with
+// fixed.Q16_8.Saturate on and around both rails.
+func TestFPGARails(t *testing.T) {
+	e, err := NewFPGAExtractor(64, 128)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := e.Format()
+	if q != fixed.Q16_8 {
+		t.Fatalf("extractor format %v, want Q16_8", q)
+	}
+	for _, raw := range []int64{0, 1, -1, 362, fpgaRailMax - 1, fpgaRailMax, fpgaRailMax + 1,
+		fpgaRailMin + 1, fpgaRailMin, fpgaRailMin - 1, 1 << 40, -1 << 40} {
+		if got, want := saturateQ16_8(raw), q.Saturate(raw); got != want {
+			t.Errorf("saturateQ16_8(%d) = %d, Q16_8.Saturate %d", raw, got, want)
+		}
+	}
+}
+
 // FuzzFPGAGridInto holds GridInto to the frozen per-pixel datapath,
 // fpgaGridIntoLegacy, bit for bit. The fuzzer picks the image size
 // (0-200 pixels a side), a fill (pixel = fill + spread·u with u

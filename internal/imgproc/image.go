@@ -168,31 +168,67 @@ func ResizeRowsInto(dst, src *Image, y0, y1 int) {
 	resizeRows(dst, src, y0, y1)
 }
 
+// resizeChunk is the number of output columns whose taps resizeRows
+// holds on its stack at once.
+const resizeChunk = 256
+
 // resizeRows is the bilinear row kernel shared by Resize and
-// ResizeRowsInto: it fills dst rows [y0, y1) by sampling src. Both
-// callers therefore compute every pixel with exactly the same float
-// arithmetic.
+// ResizeRowsInto: it fills dst rows [y0, y1), inside dst, by sampling
+// src; neither image may be empty. Both callers therefore compute
+// every pixel with exactly the same float arithmetic.
+//
+// Each output column's two source columns and weight tx (bilinearTaps)
+// are computed once per call, resizeChunk columns at a time, and each
+// output row's two source rows and weight ty once per row and chunk.
+// The inner loop then reads two source rows at the precomputed
+// columns. The taps are the clamped pixels Image.At would read, and
+// every expression keeps its order, so the output is bit-identical to
+// sampling each tap through At.
+//
+//pcnn:hotpath
 func resizeRows(dst, src *Image, y0, y1 int) {
-	w, h := dst.W, dst.H
-	sx := float64(src.W) / float64(w)
-	sy := float64(src.H) / float64(h)
-	for y := y0; y < y1; y++ {
-		fy := (float64(y)+0.5)*sy - 0.5
-		iy := int(math.Floor(fy))
-		ty := fy - float64(iy)
-		for x := 0; x < w; x++ {
-			fx := (float64(x)+0.5)*sx - 0.5
-			ix := int(math.Floor(fx))
-			tx := fx - float64(ix)
-			v00 := src.At(ix, iy)
-			v10 := src.At(ix+1, iy)
-			v01 := src.At(ix, iy+1)
-			v11 := src.At(ix+1, iy+1)
-			top := v00 + tx*(v10-v00)
-			bot := v01 + tx*(v11-v01)
-			dst.Pix[y*w+x] = top + ty*(bot-top)
+	w, sw := dst.W, src.W
+	sx := float64(sw) / float64(w)
+	sy := float64(src.H) / float64(dst.H)
+	var xa, xb [resizeChunk]int
+	var txs [resizeChunk]float64
+	for c0 := 0; c0 < w; c0 += resizeChunk {
+		n := min(w-c0, resizeChunk)
+		for j := range n {
+			xa[j], xb[j], txs[j] = bilinearTaps(sx, sw, c0+j)
+		}
+		for y := y0; y < y1; y++ {
+			r0, r1, ty := bilinearTaps(sy, src.H, y)
+			row0 := src.Pix[r0*sw : r0*sw+sw]
+			row1 := src.Pix[r1*sw : r1*sw+sw]
+			out := dst.Pix[y*w+c0 : y*w+c0+n]
+			for j := range out {
+				a, b, tx := xa[j], xb[j], txs[j]
+				v00, v10 := row0[a], row0[b]
+				v01, v11 := row1[a], row1[b]
+				top := v00 + tx*(v10-v00)
+				bot := v01 + tx*(v11-v01)
+				out[j] = top + ty*(bot-top)
+			}
 		}
 	}
+}
+
+// bilinearTaps returns the two source indices, clamped to [0, n), and
+// the weight of the second that output index i of a bilinear resize
+// with scale s (source over output length) reads.
+func bilinearTaps(s float64, n, i int) (i0, i1 int, t float64) {
+	f := (float64(i)+0.5)*s - 0.5
+	fi := int(math.Floor(f))
+	return min(max(fi, 0), n-1), min(max(fi+1, 0), n-1), f - float64(fi)
+}
+
+// SourceRows returns the two rows of a srcH-row image that output row y
+// of its bilinear resize to dstH rows reads: the rows a change to the
+// source must touch before ResizeRowsInto needs to recompute row y.
+func SourceRows(srcH, dstH, y int) (r0, r1 int) {
+	r0, r1, _ = bilinearTaps(float64(srcH)/float64(dstH), srcH, y)
+	return r0, r1
 }
 
 // Size is an image's width and height in pixels.

@@ -353,8 +353,16 @@ func (e *Extractor) GridInto(g *hog.Grid, img *imgproc.Image) {
 }
 
 // fillPatch copies the CellSide x CellSide region of img at (x0, y0)
-// into dst with replicate padding, matching imgproc.SubImage.
+// into dst with replicate padding, matching imgproc.SubImage. A region
+// inside img is copied row by row; only border patches read pixels
+// through the clamping At.
 func fillPatch(dst, img *imgproc.Image, x0, y0 int) {
+	if x0 >= 0 && y0 >= 0 && x0+CellSide <= img.W && y0+CellSide <= img.H {
+		for y := 0; y < CellSide; y++ {
+			copy(dst.Pix[y*CellSide:(y+1)*CellSide], img.Pix[(y0+y)*img.W+x0:])
+		}
+		return
+	}
 	for y := 0; y < CellSide; y++ {
 		row := dst.Pix[y*CellSide : (y+1)*CellSide]
 		for x := range row {

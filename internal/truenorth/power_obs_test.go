@@ -143,3 +143,45 @@ func TestActivityHistogramsCountEveryTick(t *testing.T) {
 		sim.Close()
 	}
 }
+
+// TestCoreFiresPerRun pins truenorth.core_fires to the run it
+// describes: each of three 20-tick Runs of a 4-core relay chain, with
+// no Reset in between, grows the histogram by one observation per
+// core and its sum by exactly that Run's truenorth.neuron_fires delta.
+// A Run after Reset does the same.
+func TestCoreFiresPerRun(t *testing.T) {
+	prev := obs.Enabled()
+	obs.Enable()
+	defer func() {
+		if !prev {
+			obs.Disable()
+		}
+	}()
+	m := chainModel(t, 4)
+	sim, err := NewSimulator(m, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fires := obs.BucketHistogramM("truenorth.core_fires", obs.CountBuckets)
+	neuron := obs.CounterM("truenorth.neuron_fires")
+	every := func(int) []int { return []int{0} }
+	for run := 0; run < 4; run++ {
+		if run == 3 {
+			sim.Reset()
+		}
+		count0, sum0, fired0 := fires.Count(), fires.Sum(), neuron.Value()
+		if _, err := sim.Run(20, every); err != nil {
+			t.Fatal(err)
+		}
+		fired := neuron.Value() - fired0
+		if fired == 0 {
+			t.Fatalf("run %d fired no neuron", run)
+		}
+		if got := fires.Count() - count0; got != uint64(m.NumCores()) {
+			t.Errorf("run %d: core_fires gained %d observations, want %d", run, got, m.NumCores())
+		}
+		if got := fires.Sum() - sum0; got != float64(fired) {
+			t.Errorf("run %d: core_fires sum grew by %v, neuron_fires by %d", run, got, fired)
+		}
+	}
+}

@@ -62,6 +62,10 @@ type Simulator struct {
 	// Reset/Run cycles (one per extracted cell) accumulate instead of
 	// overwriting.
 	published EnergyStats
+	// publishedFires holds each core's FireEvents already observed into
+	// truenorth.core_fires, so PublishMetrics observes only the fires
+	// of the current run.
+	publishedFires []uint64
 
 	// active counts the per-tick active cores between PublishMetrics
 	// calls (observed only while telemetry is enabled, merged into the
@@ -94,6 +98,7 @@ func NewSimulator(model *Model, seed int64, opts ...Option) (*Simulator, error) 
 		active:     obs.NewBucketHistogram(obs.SpikeBuckets),
 		shardCount: 1,
 	}
+	s.publishedFires = make([]uint64, n)
 	// Options are applied before the ring is built: the per-slot
 	// written-core lists are sized per shard.
 	for _, opt := range opts {
@@ -281,10 +286,11 @@ func (s *Simulator) Run(ticks int, inputFn func(t int) []int) ([]int, error) {
 // PublishMetrics exports the simulator's activity since the previous
 // publish (or Reset) to the default obs registry: tick/spike/synapse
 // counters accumulate across Reset/Run cycles, the energy gauge
-// tracks the running total, a per-run histogram records routed
-// spikes per run, and the active_cores_per_tick histogram receives
-// every per-tick scheduled-core count since the last publish (the
-// sparsity the event-driven engine exploits). The hot Step loop keeps
+// tracks the running total, per-run histograms record routed spikes
+// and each core's fires since the previous publish, and the
+// active_cores_per_tick histogram receives every per-tick
+// scheduled-core count since the last publish (the sparsity the
+// event-driven engine exploits). The hot Step loop keeps
 // its module-local counters and histogram; this publishes them at a
 // collection boundary, so simulation pays no per-tick registry
 // traffic. Run calls it automatically when telemetry is on.
@@ -320,8 +326,10 @@ func (s *Simulator) PublishMetrics() {
 		s.active = obs.NewBucketHistogram(obs.SpikeBuckets)
 	}
 	h := obs.BucketHistogramM("truenorth.core_fires", obs.CountBuckets)
-	for c := 0; c < s.model.NumCores(); c++ {
-		h.Observe(float64(s.model.Core(c).FireEvents()))
+	for c, prev := range s.publishedFires {
+		f := s.model.Core(c).FireEvents()
+		h.Observe(float64(f - prev))
+		s.publishedFires[c] = f
 	}
 	if ss := s.shards; len(ss.shards) > 1 {
 		// Shard-mode aggregates, merged here on the main goroutine
@@ -370,6 +378,7 @@ func (s *Simulator) Reset() {
 	s.slot = 0
 	s.tick = 0
 	s.published = EnergyStats{}
+	clear(s.publishedFires)
 	if s.active.Count() > 0 {
 		// Unpublished ticks belong to the run being discarded.
 		s.active = obs.NewBucketHistogram(obs.SpikeBuckets)
