@@ -7,8 +7,8 @@ GO ?= go
 .PHONY: build test check fmt vet race lint perfbench-check perfbench-layout bench bench-obs bench-sim bench-detect bench-gate fuzz clean
 
 # FUZZTIME bounds each fuzz target's smoke run (the committed seed
-# corpora under internal/{truenorth,eedn,imgproc,hog}/testdata/fuzz always
-# run as plain tests; this is extra mutation time).
+# corpora under internal/{truenorth,eedn,imgproc,hog,detect}/testdata/fuzz
+# always run as plain tests; this is extra mutation time).
 FUZZTIME ?= 15s
 
 build:
@@ -64,7 +64,7 @@ perfbench-check:
 # hog.(*Extractor).LinearScoresInto, the FPGA-HoG cell pass
 # hog.(*FPGAExtractor).fixedCellPass, the bilinear pyramid kernel
 # imgproc.resizeRows, the detection level loop
-# detect.(*scanState).runLevel and detect.NMSInto, and the simulator's
+# detect.(*Sequence).runLevel and detect.NMSInto, and the simulator's
 # tick loops truenorth.(*Simulator).Step, (*Simulator).runShardTick,
 # (*Core).fire and (*Core).Integrate, then a SHA-256 of the binary's
 # sorted text-symbol table. Two trees that print the same lines link the
@@ -81,7 +81,7 @@ perfbench-layout:
 			$$3 == "repro/internal/hog.(*Extractor).LinearScoresInto" || \
 			$$3 == "repro/internal/hog.(*FPGAExtractor).fixedCellPass" || \
 			$$3 == "repro/internal/imgproc.resizeRows" || \
-			$$3 == "repro/internal/detect.(*scanState).runLevel" || $$3 == "repro/internal/detect.NMSInto" || \
+			$$3 == "repro/internal/detect.(*Sequence).runLevel" || $$3 == "repro/internal/detect.NMSInto" || \
 			$$3 == "repro/internal/truenorth.(*Simulator).Step" || \
 			$$3 == "repro/internal/truenorth.(*Simulator).runShardTick" || \
 			$$3 == "repro/internal/truenorth.(*Core).fire" || \
@@ -148,6 +148,7 @@ fuzz:
 	$(GO) test ./internal/imgproc -run '^$$' -fuzz '^FuzzResizeRows$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/hog -run '^$$' -fuzz '^FuzzLinearScores$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/hog -run '^$$' -fuzz '^FuzzFPGAGridInto$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/detect -run '^$$' -fuzz '^FuzzSequenceMatchesPerFrame$$' -fuzztime $(FUZZTIME)
 
 clean:
 	rm -f BENCH_obs.json BENCH_sim.json BENCH_detect.json

@@ -270,9 +270,9 @@ func externalPkgPath(fn *types.Func) string {
 }
 
 // funcDisplayName renders a module function compactly for diagnostics:
-// "detect.(*Detector).scanGrid" or "hog.applyNorm".
+// "detect.(*Detector).scoreRun" or "hog.applyNorm".
 func funcDisplayName(fn *types.Func) string {
-	full := fn.FullName() // e.g. "(repro/internal/detect.Detector).scanGrid" or "repro/internal/hog.applyNorm"
+	full := fn.FullName() // e.g. "(*repro/internal/detect.Detector).scoreRun" or "repro/internal/hog.applyNorm"
 	return shortenPkgPaths(full)
 }
 

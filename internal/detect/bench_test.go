@@ -200,20 +200,21 @@ func BenchmarkDetectSequence(b *testing.B) {
 }
 
 // BenchmarkDetectScanInner isolates the steady-state inner window
-// loop: one full level scan over a warm grid and scratch. This is the
-// loop the 0 allocs/op acceptance criterion pins (see also
+// loop: one full rescan of every window row of a warm level grid
+// through the row scorer (Sequence.scanLevel), into warm scratch. This
+// is the loop the 0 allocs/op acceptance criterion pins (see also
 // TestDetectSteadyStateAllocs).
 func BenchmarkDetectScanInner(b *testing.B) {
 	cfg := DefaultConfig()
 	cfg.Threshold = -1e18
 	det := testDetector(b, cfg)
 	img := dataset.NewGenerator(9).NegativeImage(160, 160)
-	sc := &workerScratch{}
-	det.Extractor.GridInto(&sc.grid, img)
-	dets := det.scanGrid(sc, &sc.grid, 1, nil) // warm
+	seq, lv := rescanLevel(b, det, img)
+	sc := &seq.ws[0]
+	seq.scanLevel(sc, lv) // warm both cache buffers
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		dets = det.scanGrid(sc, &sc.grid, 1, dets[:0])
+		seq.scanLevel(sc, lv)
 	}
 }

@@ -123,10 +123,12 @@ type Detector struct {
 
 	// Trace, when set, anchors the scan's span tree (detect.image ->
 	// level[i]) under an existing span, so a CLI's -trace-out shows
-	// detection nested in its run. Each level span is recorded by the
-	// worker that claimed the level, so concurrent levels show as
-	// separate per-worker lanes. Nil starts root spans instead; spans
-	// are only created while telemetry is enabled.
+	// detection nested in its run; a Sequence frame's level spans nest
+	// directly under it. Each level span is recorded by the worker that
+	// claimed the level, so concurrent levels show as separate
+	// per-worker lanes. Nil starts detect.image root spans instead, and
+	// no Sequence level spans; spans are only created while telemetry
+	// is enabled.
 	Trace *obs.Span
 
 	descErrors atomic.Uint64 // windows dropped: DescriptorInto failed

@@ -1,50 +1,49 @@
 // Parallel scan engine: pyramid levels claimed by a worker pool within
-// one image, plus multi-image pipelining, both bit-identical to the
+// one frame, plus multi-image pipelining, both bit-identical to the
 // sequential scan.
 //
-// Within one image (Detect) or one frame (Sequence), the unit of work
-// is a whole pyramid level. Up to Config.Workers goroutines (clamped to
-// GOMAXPROCS and to the level count; the caller is one of them) claim
-// levels, and the worker that claims a level does all of its work: for
-// Detect it resizes the level from the source image into its own
-// buffer (imgproc.ResizeRowsInto, bit-identical to imgproc.Resize),
-// runs GridInto into its own grid and scans the level's windows into
-// that level's own detection slice; for Sequence it refreshes the
-// level and rescans its dirty rows (temporal.go). After the join the
-// levels merge in level order, so the detection list comes out in
-// exactly the sequential (level, row, col) order regardless of worker
-// count or scheduling. No level reads another level's data, so every
-// stage — resize, grid and scan — runs in parallel and no worker waits
-// on another until the join.
+// The package has one scan engine, the temporal Sequence (temporal.go).
+// Detect runs one cold frame of it on a pooled one-shot Sequence: a
+// frame that diffs against nothing, so every level is recomputed and
+// rescanned, and that keeps nothing once it ends. Its level 0 is the
+// caller's image, and each level borrows the claiming worker's level
+// buffer and grid. Idle one-shot states are shared by all Detectors
+// through one bounded free list (idleStates).
 //
-// The caller claims from level 0 (the largest) upward and the helpers
-// from the smallest level downward, so only the caller's buffers ever
-// grow to frame size: a helper's grid and level image stay at the size
-// of the largest level it reached. Idle scan states are shared by all
-// Detectors through one bounded free list (idleStates).
+// Within one frame the unit of work is a whole pyramid level. Up to
+// Config.Workers goroutines (clamped to GOMAXPROCS and to the level
+// count; the caller is one of them) claim levels, and the worker that
+// claims a level does all of its work ((*Sequence).runLevel): it
+// resizes the rows its grid update reads from level 0 into its own
+// buffer (imgproc.ResizeRowsInto, bit-identical to imgproc.Resize),
+// updates the level's grid and scans its window rows into the level's
+// own detection slice. After the join the levels merge in level order,
+// so the detection list comes out in exactly the sequential (level,
+// row, col) order regardless of worker count or scheduling. No level
+// reads another level's data, so no worker waits on another until the
+// join. The caller claims from level 0 (the largest) upward and the
+// helpers from the smallest level downward, so only the caller's
+// buffers ever grow to frame size.
 //
 // Multi-image, DetectAll/DetectStream hand whole images to the worker
-// pool instead (one scan state each, one worker per image) — the
+// pool instead (one one-shot state each, one worker per image) — the
 // better split for evaluation runs, where per-image work already
 // saturates a worker. Images are claimed off an atomic counter; results
 // are keyed by index, so output order is deterministic there too.
 //
-// Both engines score windows through one row scorer, scoreRun, over a
-// run of windows along one row: a whole row in Detect, a whole row or
-// each dirty stretch of one in Sequence. With an *svm.Model scorer it
-// takes the run's scores straight off the block plane, four windows
-// per pass (Extractor.LinearScoresInto); any other scorer gets each
-// window's DescriptorInto descriptor.
+// One row scorer, scoreRun, scores a run of windows along one row: a
+// whole row, or each dirty stretch of one in a warm Sequence frame.
+// With an *svm.Model scorer it takes the run's scores straight off the
+// block plane, four windows per pass (Extractor.LinearScoresInto); any
+// other scorer gets each window's DescriptorInto descriptor.
 //
 // The steady-state inner window loop performs no allocations: level
-// images and grids are reused per worker, scores and descriptors are
+// buffers and grids are reused per worker, scores and descriptors are
 // appended into per-worker scratch buffers, and detection slices are
-// recycled across levels and images.
+// recycled across levels and frames.
 package detect
 
 import (
-	"fmt"
-	"math"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -71,46 +70,40 @@ func (c Config) effectiveWorkers() int {
 }
 
 // workerScratch is one level worker's private state, reused across
-// levels, images and frames so the steady-state scan allocates nothing.
+// levels and frames so the steady-state scan allocates nothing.
 type workerScratch struct {
 	desc    []float64 // descriptor append buffer
 	scores  []float64 // LinearScoresInto append buffer
-	windows uint64    // windows scanned this image
-	errs    uint64    // windows dropped this image (descriptor errors)
+	windows uint64    // windows scanned this frame
+	errs    uint64    // windows dropped this frame (descriptor errors)
+	cells   uint64    // cells recomputed this frame
+	skipped uint64    // window rows served from the cache this frame
 	busy    time.Duration
 
-	// Detect: the claimed level's pixels (level 0 scans the source
-	// image itself) and cell grid.
+	// The claimed level's resized pixel rows (levels above 0), and a
+	// one-shot frame's level grid.
 	level imgproc.Image
 	grid  hog.Grid
 
-	// Sequence: row- and column-run recompute scratch, and this
-	// frame's recomputed cells and clean (reused) window rows.
+	// Partial grid updates: row-run view, column strip and their grids.
+	sub       imgproc.Image
 	subGrid   hog.Grid
 	strip     imgproc.Image
 	stripGrid hog.Grid
 	runs      [][2]int32
-	cells     uint64
-	skipped   uint64
 }
 
-// levelJob is one image's or frame's per-level work; runLevel does all
-// of level li on worker scratch sc. Calls for distinct levels run
-// concurrently.
-type levelJob interface {
-	runLevel(sc *workerScratch, li int)
-}
-
-// runLevels runs job over levels [0, n) on min(workers, n) workers:
-// the calling goroutine on ws[0], claiming from level 0 upward, and
-// helper goroutines on ws[1:], claiming from level n-1 downward. It
-// returns the number of workers used. One worker runs the levels in
+// runLevels runs s's levels on min(workers, levels) workers: the
+// calling goroutine on s.ws[0], claiming from level 0 upward, and
+// helper goroutines on s.ws[1:], claiming from the last level downward.
+// It returns the number of workers used. One worker runs the levels in
 // order on the caller with no goroutine, closure or lock.
-func runLevels(job levelJob, ws []workerScratch, n, workers int) int {
+func runLevels(s *Sequence, workers int) int {
+	n := len(s.lv)
 	w := min(workers, n)
 	if w <= 1 {
 		for li := 0; li < n; li++ {
-			job.runLevel(&ws[0], li)
+			s.runLevel(&s.ws[0], li)
 		}
 		return 1
 	}
@@ -131,49 +124,41 @@ func runLevels(job levelJob, ws []workerScratch, n, workers int) int {
 	}
 	var wg sync.WaitGroup
 	for k := 1; k < w; k++ {
-		sc := &ws[k]
+		sc := &s.ws[k]
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for li, ok := claim(false); ok; li, ok = claim(false) {
-				job.runLevel(sc, li)
+				s.runLevel(sc, li)
 			}
 		}()
 	}
 	for li, ok := claim(true); ok; li, ok = claim(true) {
-		job.runLevel(&ws[0], li)
+		s.runLevel(&s.ws[0], li)
 	}
 	wg.Wait()
 	return w
 }
 
-// scanState is one Detect call's reusable state: one scratch per
-// worker and one detection slice per level. Idle states sit in
-// idleStates.
-type scanState struct {
-	d     *Detector      // the scanning detector; nil between scans
-	img   *imgproc.Image // the image being scanned; nil between scans
-	span  *obs.Span      // detect.image while telemetry is enabled
-	sizes []imgproc.Size // the image's pyramid levels
-	ws    []workerScratch
-	dets  [][]Detection // per level, (row, col) order
-}
-
-// idleStates is the process-wide free list of scan states. Like a
+// idleStates is the process-wide free list of one-shot Sequences, the
+// scan states of Detect, DetectRaw, DetectStream and DetectAll. Like a
 // sync.Pool it only caches buffers — no scan's output depends on which
 // state it gets — but it holds at most GOMAXPROCS states and keeps them
 // across garbage collections, where a pool keeps up to one per P plus
-// victim copies. A state holds no per-detector data, so detectors
-// driven in turn by one goroutine share one state.
+// victim copies. A state keeps no per-detector data between frames (a
+// frame rebuilds its levels when the frame size or the Config differs
+// from the last), so detectors driven in turn by one goroutine share
+// one state.
 var idleStates struct {
 	sync.Mutex
-	list []*scanState
+	list []*Sequence
 }
 
-// getState takes an idle scan state off the free list, or makes one.
-func (d *Detector) getState() *scanState {
+// getState takes an idle one-shot Sequence off the free list, or makes
+// one, and binds it to d.
+func (d *Detector) getState() *Sequence {
 	idleStates.Lock()
-	var st *scanState
+	var st *Sequence
 	if n := len(idleStates.list); n > 0 {
 		st = idleStates.list[n-1]
 		idleStates.list[n-1] = nil
@@ -181,7 +166,7 @@ func (d *Detector) getState() *scanState {
 	}
 	idleStates.Unlock()
 	if st == nil {
-		st = &scanState{}
+		st = &Sequence{oneShot: true}
 	}
 	st.d = d
 	return st
@@ -190,7 +175,7 @@ func (d *Detector) getState() *scanState {
 // putState returns st to the free list. The list keeps the GOMAXPROCS
 // most recently used states; an older surplus state is left to the GC,
 // so a warm state is never dropped in favour of a cold one.
-func putState(st *scanState) {
+func putState(st *Sequence) {
 	st.d = nil
 	idleStates.Lock()
 	if n := len(idleStates.list) - runtime.GOMAXPROCS(0) + 1; n > 0 {
@@ -217,128 +202,44 @@ func (d *Detector) DetectRaw(img *imgproc.Image) []Detection {
 		obs.GaugeM("detect.workers").Set(float64(workers))
 	}
 	st := d.getState()
-	out := d.detectRaw(st, img, workers)
+	out := st.detectOnce(img, workers, nil)
 	putState(st)
 	return out
 }
 
-// detectRaw scans img with up to workers level workers using st.
-func (d *Detector) detectRaw(st *scanState, img *imgproc.Image, workers int) []Detection {
-	cfg := d.Config
-	st.sizes = imgproc.PyramidSizes(img.W, img.H, cfg.ScaleFactor,
-		cfg.WindowCellsX*cfg.CellSize, cfg.WindowCellsY*cfg.CellSize, cfg.MaxLevels)
-	n := len(st.sizes)
-	if len(st.dets) < n {
-		st.dets = append(st.dets, make([][]Detection, n-len(st.dets))...)
-	}
-	if len(st.ws) < workers {
-		st.ws = append(st.ws, make([]workerScratch, workers-len(st.ws))...)
-	}
-	for k := range st.ws {
-		st.ws[k].windows, st.ws[k].errs, st.ws[k].busy = 0, 0, 0
-	}
-	st.img = img
+// detectOnce runs img through the one-shot state st as one cold frame
+// with up to workers level workers, and appends its above-threshold
+// windows to dst in (level, row, col) order.
+func (st *Sequence) detectOnce(img *imgproc.Image, workers int, dst []Detection) []Detection {
+	d := st.d
 	measured := obs.Enabled()
-	var scanStart time.Time
+	var start time.Time
 	if measured {
-		scanStart = time.Now()
+		start = time.Now()
 		if d.Trace != nil {
 			st.span = d.Trace.StartChild("detect.image")
 		} else {
 			st.span = obs.StartSpan("detect.image")
 		}
 	}
-	used := runLevels(st, st.ws, n, workers)
-	st.img = nil
-	var wall time.Duration
+	n0 := len(dst)
+	dst, fs := st.frame(img, 0, 0, workers, dst)
 	if measured {
-		wall = time.Since(scanStart)
-	}
-	// Deterministic merge: levels in order, each in (row, col) order.
-	var out []Detection
-	for _, ld := range st.dets[:n] {
-		out = append(out, ld...)
-	}
-	var totalWindows, totalErrs uint64
-	var busy time.Duration
-	for k := range st.ws {
-		totalWindows += st.ws[k].windows
-		totalErrs += st.ws[k].errs
-		busy += st.ws[k].busy
-	}
-	if totalErrs > 0 {
-		d.descErrors.Add(totalErrs)
-	}
-	if measured {
+		wall := time.Since(start)
 		st.span.End()
 		st.span = nil
 		obs.CounterM("detect.images").Inc()
-		obs.CounterM("detect.windows_scanned").Add(totalWindows)
-		obs.CounterM("detect.windows_above_threshold").Add(uint64(len(out)))
-		obs.CounterM("detect.pyramid_levels").Add(uint64(n))
-		obs.CounterM("detect.descriptor_errors").Add(totalErrs)
-		if secs := time.Since(scanStart).Seconds(); secs > 0 {
-			obs.GaugeM("detect.windows_per_sec").Set(float64(totalWindows) / secs)
+		obs.CounterM("detect.windows_scanned").Add(fs.windows)
+		obs.CounterM("detect.windows_above_threshold").Add(uint64(len(dst) - n0))
+		obs.CounterM("detect.pyramid_levels").Add(uint64(len(st.lv)))
+		obs.CounterM("detect.descriptor_errors").Add(fs.errs)
+		if secs := wall.Seconds(); secs > 0 {
+			obs.GaugeM("detect.windows_per_sec").Set(float64(fs.windows) / secs)
 		}
-		if used > 1 && wall > 0 {
+		if fs.workers > 1 && wall > 0 {
 			obs.BucketHistogramM("detect.worker_utilization", obs.RatioBuckets).
-				Observe(busy.Seconds() / (float64(used) * wall.Seconds()))
+				Observe(fs.busy.Seconds() / (float64(fs.workers) * wall.Seconds()))
 		}
-	}
-	return out
-}
-
-// runLevel does all of level li of the image being scanned on worker
-// sc: resize (levels above 0), GridInto and the window scan into the
-// level's own detection slice.
-func (st *scanState) runLevel(sc *workerScratch, li int) {
-	d := st.d
-	cfg := d.Config
-	measured := obs.Enabled()
-	var levelStart time.Time
-	var span *obs.Span
-	windows0 := sc.windows
-	if measured {
-		levelStart = time.Now()
-		span = st.span.StartChild(fmt.Sprintf("level[%d]", li))
-	}
-	level := st.img
-	if li > 0 {
-		sz := st.sizes[li]
-		if np := sz.W * sz.H; cap(sc.level.Pix) < np {
-			sc.level.Pix = make([]float64, np)
-		}
-		sc.level.W, sc.level.H, sc.level.Pix = sz.W, sz.H, sc.level.Pix[:sz.W*sz.H]
-		imgproc.ResizeRowsInto(&sc.level, st.img, 0, sz.H)
-		level = &sc.level
-	}
-	d.Extractor.GridInto(&sc.grid, level)
-	dets := st.dets[li][:0]
-	if sc.grid.CellsY >= cfg.WindowCellsY && sc.grid.CellsX >= cfg.WindowCellsX {
-		dets = d.scanGrid(sc, &sc.grid, math.Pow(cfg.ScaleFactor, float64(li)), dets)
-	}
-	st.dets[li] = dets
-	if measured {
-		span.End()
-		el := time.Since(levelStart)
-		sc.busy += el
-		obs.BucketHistogramM("detect.level_windows", obs.WindowBuckets).Observe(float64(sc.windows - windows0))
-		obs.BucketHistogramM("detect.level_ms", obs.LatencyMSBuckets).Observe(float64(el.Microseconds()) / 1000)
-	}
-}
-
-// scanGrid scans every window of the level grid g, appending the
-// above-threshold ones to dst in (row, col) order; scale maps level
-// to image coordinates. Other workers scan other levels concurrently;
-// everything it writes is worker-private. The loop is allocation-free
-// once sc's and dst's buffers are warm.
-//
-//pcnn:hotpath
-func (d *Detector) scanGrid(sc *workerScratch, g *hog.Grid, scale float64, dst []Detection) []Detection {
-	cfg := d.Config
-	n := windowsAcross(g.CellsX, cfg.WindowCellsX, cfg.StrideCells)
-	for gy := 0; gy+cfg.WindowCellsY <= g.CellsY; gy += cfg.StrideCells {
-		dst = d.scoreRun(sc, g, 0, gy, n, scale, dst)
 	}
 	return dst
 }
@@ -352,13 +253,13 @@ func windowsAcross(cells, win, stride int) int {
 	return (cells-win)/stride + 1
 }
 
-// scoreRun is the row scorer of both engines: it scores the n windows
-// of g with top-left cells (gx0+j*StrideCells, gy), j = 0..n-1, and
-// appends the above-threshold ones to dst in column order; scale maps
-// level to image coordinates. An *svm.Model scorer takes the kernel
-// path: the run's scores come from LinearScoresInto, bit-identical to
-// Score of each descriptor. Any other scorer, or a kernel error, takes
-// the per-window path: DescriptorInto then Score per window, counting
+// scoreRun is the engine's row scorer: it scores the n windows of g
+// with top-left cells (gx0+j*StrideCells, gy), j = 0..n-1, and appends
+// the above-threshold ones to dst in column order; scale maps level to
+// image coordinates. An *svm.Model scorer takes the kernel path: the
+// run's scores come from LinearScoresInto, bit-identical to Score of
+// each descriptor. Any other scorer, or a kernel error, takes the
+// per-window path: DescriptorInto then Score per window, counting
 // failed descriptors in sc.errs. Everything it writes is
 // worker-private, and it allocates nothing once sc's and dst's buffers
 // are warm.
@@ -450,12 +351,13 @@ func (d *Detector) DetectStream(n int, src func(int) *imgproc.Image, sink func(i
 			defer wg.Done()
 			st := d.getState()
 			defer putState(st)
+			var raw []Detection
 			for {
 				i := int(next.Add(1)) - 1
 				if i >= n {
 					return
 				}
-				raw := d.detectRaw(st, src(i), 1)
+				raw = st.detectOnce(src(i), 1, raw[:0])
 				kept := NMS(raw, d.Config.NMSEpsilon)
 				if measured {
 					obs.CounterM("detect.nms_in").Add(uint64(len(raw)))

@@ -376,9 +376,11 @@ func TestWorkerUtilizationHistogram(t *testing.T) {
 }
 
 // TestLevelWindowsHistogram checks the per-level window histogram
-// against the image totals, as deltas across one Detect with telemetry
-// on: detect.level_windows gains one observation per pyramid level, and
-// its sum grows by exactly the detect.windows_scanned delta.
+// against the frame totals, as deltas with telemetry on, across one
+// Detect and across three Sequence frames (a cold one, then two with
+// motion): detect.level_windows gains one observation per pyramid level
+// per frame, and its sum grows by exactly the detect.windows_scanned
+// delta.
 func TestLevelWindowsHistogram(t *testing.T) {
 	obs.Enable()
 	t.Cleanup(obs.Disable)
@@ -394,34 +396,75 @@ func TestLevelWindowsHistogram(t *testing.T) {
 		t.Fatal("Detect scanned no windows; test is vacuous")
 	}
 	if got := h.Sum() - sum0; got != float64(windows) {
-		t.Errorf("level_windows sum grew by %v, want windows_scanned delta %d", got, windows)
+		t.Errorf("Detect: level_windows sum grew by %v, want windows_scanned delta %d", got, windows)
 	}
 	if got, want := h.Count()-count0, levels.Value()-levels0; got != want {
-		t.Errorf("level_windows gained %d observations, want one per level (%d)", got, want)
+		t.Errorf("Detect: level_windows gained %d observations, want one per level (%d)", got, want)
+	}
+
+	const frames = 3
+	seq := det.NewSequence()
+	count0, sum0, scanned0 = h.Count(), h.Sum(), scanned.Value()
+	for _, f := range seqFrames(t, 4, "walkers", 160, 288, frames) {
+		seq.Next(f.Image)
+	}
+	windows = scanned.Value() - scanned0
+	if windows == 0 {
+		t.Fatal("Sequence scanned no windows; test is vacuous")
+	}
+	if got := h.Sum() - sum0; got != float64(windows) {
+		t.Errorf("Sequence: level_windows sum grew by %v, want windows_scanned delta %d", got, windows)
+	}
+	if got, want := h.Count()-count0, uint64(frames*len(seq.lv)); got != want {
+		t.Errorf("Sequence: level_windows gained %d observations, want one per level per frame (%d)", got, want)
 	}
 }
 
+// rescanLevel primes a Sequence on img and marks every cell row of its
+// level 0 dirty with no column ranges, so each scanLevel call rescans
+// every window row of a warm grid through the row scorer.
+func rescanLevel(t testing.TB, det *Detector, img *imgproc.Image) (*Sequence, *seqLevel) {
+	t.Helper()
+	seq := det.NewSequence()
+	seq.Next(img)
+	lv := seq.lv[0]
+	if lv.nRows == 0 {
+		t.Fatal("test image too small")
+	}
+	for r := range lv.dirty {
+		lv.dirty[r] = true
+	}
+	lv.nColRanges = 0
+	return seq, lv
+}
+
 // TestDetectSteadyStateAllocs pins the 0-alloc inner window loop: once
-// scratch buffers are warm, scanning every window of a level allocates
-// nothing (scores and descriptors append into per-worker scratch,
-// detections into recycled slices), on both row-scorer paths.
+// scratch buffers are warm, rescanning every window row of a level
+// allocates nothing (scores and descriptors append into per-worker
+// scratch, detections into recycled slices), on both row-scorer paths;
+// and neither does a whole warm one-shot frame — the cold frame behind
+// Detect — appending into a reused slice.
 func TestDetectSteadyStateAllocs(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Threshold = -1e18 // every window appends a detection
 	img := dataset.NewGenerator(9).NegativeImage(160, 160)
 	for _, kind := range testScorers {
 		det := scoredDetector(t, cfg, kind)
-		sc := &workerScratch{}
-		det.Extractor.GridInto(&sc.grid, img)
-		if sc.grid.CellsY < cfg.WindowCellsY || sc.grid.CellsX < cfg.WindowCellsX {
-			t.Fatal("test image too small")
+		seq, lv := rescanLevel(t, det, img)
+		sc := &seq.ws[0]
+		seq.scanLevel(sc, lv) // warm both cache buffers
+		if allocs := testing.AllocsPerRun(10, func() { seq.scanLevel(sc, lv) }); allocs != 0 {
+			t.Fatalf("%s: steady-state level scan allocates %.1f/op, want 0", kind, allocs)
 		}
-		dets := det.scanGrid(sc, &sc.grid, 1, nil) // warm buffers
-		allocs := testing.AllocsPerRun(10, func() {
-			dets = det.scanGrid(sc, &sc.grid, 1, dets[:0])
-		})
+		st := det.getState()
+		raw := st.detectOnce(img, 1, nil) // warm the levels and worker buffers
+		allocs := testing.AllocsPerRun(10, func() { raw = st.detectOnce(img, 1, raw[:0]) })
+		putState(st)
 		if allocs != 0 {
-			t.Fatalf("%s: steady-state scan allocates %.1f/op, want 0", kind, allocs)
+			t.Fatalf("%s: warm one-shot frame allocates %.1f/op, want 0", kind, allocs)
+		}
+		if !reflect.DeepEqual(raw, legacyDetectRaw(det, img)) {
+			t.Fatalf("%s: one-shot frame into a reused slice diverges from the per-window legacy scan", kind)
 		}
 	}
 }

@@ -1,24 +1,26 @@
 // Temporal detection: cross-frame reuse with dirty-region tracking,
-// bit-identical to independent per-frame scans.
+// bit-identical to independent per-frame scans. This is the package's
+// one scan engine: Detect runs a cold frame of it (parallel.go).
 //
-// A Sequence keeps the whole per-frame scan state alive between
-// frames: the pyramid level images, the per-level cell grids with
-// their prepared block planes, and per-window-row caches of the raw
-// (pre-NMS) detections. Each new frame is diffed against the previous
-// one row by row; the changed pixel rows are mapped through the
-// bilinear resize to every pyramid level (each output row of the
-// resize depends on at most two source rows, so staleness propagates
-// exactly), dilated to dirty cell rows covering the gradient and
-// spatial-interpolation reach, and only those cell rows are re-run
-// through the extractor — as full-width sub-image views spliced back
-// into the persistent grid, with the prepared block plane rebuilt over
-// just the affected block rows. Window rows whose cell span contains
-// no dirty row are served wholesale from the previous frame's raw
-// detections; rows that are dirty rescan only the windows overlapping
-// the dirty cell-column extent and merge the rest from the cache.
-// NMS then runs over the merged candidate set, which is — by
-// construction, window for window — the exact multiset a from-scratch
-// scan would feed it.
+// A Sequence keeps the per-frame scan state alive between frames: the
+// previous frame at level 0, the per-level cell grids with their
+// prepared block planes, and per-window-row caches of the raw
+// (pre-NMS) detections. Deeper pyramid levels keep no image. Each new
+// frame is diffed against the previous one row by row; the changed
+// pixel rows are mapped through the bilinear resize to every pyramid
+// level (each output row of the resize depends on at most two source
+// rows, so staleness propagates exactly), dilated to dirty cell rows
+// covering the gradient and spatial-interpolation reach, and only those
+// cell rows are re-run through the extractor — as full-width sub-image
+// views spliced back into the persistent grid, with the prepared block
+// plane rebuilt over just the affected block rows. At a deeper level
+// the worker first resizes the pixel rows such a view reads from level
+// 0 into its own buffer. Window rows whose cell span contains no dirty
+// row are served wholesale from the previous frame's raw detections;
+// rows that are dirty rescan only the windows overlapping the dirty
+// cell-column extent and merge the rest from the cache. NMS then runs
+// over the merged candidate set, which is — by construction, window for
+// window — the exact multiset a from-scratch scan would feed it.
 //
 // Camera pan is handled as an integer-cell shift when the reported
 // offset is cell- and stride-aligned: the level-0 grid and block plane
@@ -37,14 +39,17 @@
 // shifted-equal), and compare-equal float64 pixels propagate through
 // the deterministic extractor and scorer to ==-equal detections.
 //
-// Parallelism follows Detect's schedule (parallel.go): the level-0 diff
-// or pan runs serially on the caller, then the worker pool claims whole
-// levels, and the worker that claims a level refreshes its image,
-// marks its dirty rows, updates its grid and scans its rows into the
-// level's own cache. Levels merge in level order after the join.
+// Every frame, warm or cold, runs one body (frame): rebuild the levels
+// when the frame size or the Config changed, run the level-0 diff, pan
+// check or cold start serially on the caller, then let the worker pool
+// claim whole levels (runLevels). The worker that claims a level marks
+// its changed rows, updates its grid and scans its rows into the
+// level's own detection slice (runLevel). Levels merge in level order
+// after the join.
 package detect
 
 import (
+	"fmt"
 	"math"
 	"time"
 
@@ -62,13 +67,12 @@ const (
 	seqRowFull               // rescan every window
 )
 
-// seqLevel is the persistent per-pyramid-level state of a Sequence.
+// seqLevel is the per-pyramid-level state of a Sequence.
 type seqLevel struct {
-	w, h  int     // level image dimensions
-	scale float64 // math.Pow(factor, level): maps level to image coords exactly as detectRaw
-	img   *imgproc.Image
-	grid  hog.Grid
-	sub   imgproc.Image // reusable full-width sub-view into img (borrows img.Pix)
+	w, h  int            // level image dimensions
+	scale float64        // math.Pow(factor, level): maps level to image coords
+	img   *imgproc.Image // level 0 only: the previous frame, or a one-shot frame's input
+	grid  *hog.Grid      // the level's own, or in a one-shot frame the claiming worker's
 
 	cellsX, cellsY int
 	nRows, nCols   int // window grid in stride units
@@ -91,9 +95,9 @@ type seqLevel struct {
 	srcRowDelta, srcColDelta int
 	adjX, adjY               int
 
-	// Double-buffered raw detection cache: dets[cur] holds the previous
-	// frame's raw (pre-NMS) detections of this level; row r occupies
-	// dets[cur][rowStart[cur][r]:rowStart[cur][r+1]].
+	// Raw detection cache, double-buffered in a persistent Sequence:
+	// dets[cur] holds the last frame's raw (pre-NMS) detections of this
+	// level; row r occupies dets[cur][rowStart[cur][r]:rowStart[cur][r+1]].
 	dets     [2][]Detection
 	rowStart [2][]int32
 	cur      int
@@ -104,15 +108,18 @@ type seqLevel struct {
 // frames through Next/NextPanned; a Sequence is not safe for
 // concurrent use, and the slice Next returns is only valid until the
 // next call. Each frame's levels are claimed by up to Config.Workers
-// workers, the same schedule as Detect. Reuse requires a deterministic
-// extractor — the same exception as Detect at Workers >= 2 (parrot
-// stochastic coding) applies, since it can score identical pixels
-// differently between frames.
+// workers. Reuse requires a deterministic extractor — the same
+// exception as Detect at Workers >= 2 (parrot stochastic coding)
+// applies, since it can score identical pixels differently between
+// frames.
 type Sequence struct {
-	d      *Detector
-	lv     []*seqLevel
-	primed bool
-	pan    bool // this frame's level 0 was shifted by tryPan
+	d       *Detector
+	cfg     Config // the Config lv was built for, Workers zeroed
+	lv      []*seqLevel
+	primed  bool
+	pan     bool      // this frame's level 0 was shifted by tryPan
+	oneShot bool      // a Detect state: cold frames that keep nothing (set by getState only)
+	span    *obs.Span // parent of this frame's level spans, if any
 
 	ws []workerScratch
 
@@ -128,7 +135,8 @@ type Sequence struct {
 
 // NewSequence returns a temporal detection engine bound to d. Frame
 // geometry is fixed on first use; feeding a frame of different
-// dimensions reinitializes the state (a full recompute).
+// dimensions, or changing d.Config other than Workers, reinitializes
+// the state (a full recompute).
 func (d *Detector) NewSequence() *Sequence { return &Sequence{d: d} }
 
 // Reset drops all cross-frame state, forcing the next frame through a
@@ -161,22 +169,64 @@ func (s *Sequence) NextPanned(img *imgproc.Image, panX, panY int) []Detection {
 	if img == nil {
 		return nil
 	}
-	cfg := s.d.Config
 	measured := obs.Enabled()
 	var t0 time.Time
 	if measured {
 		t0 = time.Now()
+		s.span = s.d.Trace
 	}
-	if len(s.lv) == 0 || s.lv[0].w != img.W || s.lv[0].h != img.H {
-		s.init(img.W, img.H)
+	workers := s.d.Config.effectiveWorkers()
+	var fs frameStats
+	s.raw, fs = s.frame(img, panX, panY, workers, s.raw[:0])
+	s.out = NMSInto(s.out[:0], s.raw, s.d.Config.NMSEpsilon)
+	if measured {
+		s.frames++
+		s.elapsed += time.Since(t0)
+		obs.GaugeM("detect.workers").Set(float64(workers))
+		obs.CounterM("detect.frames").Inc()
+		obs.CounterM("detect.bands_skipped").Add(fs.skipped)
+		obs.CounterM("detect.cells_recomputed").Add(fs.cells)
+		obs.CounterM("detect.windows_scanned").Add(fs.windows)
+		obs.CounterM("detect.nms_in").Add(uint64(len(s.raw)))
+		obs.CounterM("detect.nms_out").Add(uint64(len(s.out)))
+		if s.totalWindows > 0 {
+			obs.BucketHistogramM("detect.reuse_ratio", obs.RatioBuckets).
+				Observe(1 - float64(fs.windows)/float64(s.totalWindows))
+		}
+		if secs := s.elapsed.Seconds(); secs > 0 {
+			obs.GaugeM("detect.frames_per_sec").Set(float64(s.frames) / secs)
+		}
 	}
-	workers := cfg.effectiveWorkers()
+	return s.out
+}
+
+// frameStats sums one frame's worker counters.
+type frameStats struct {
+	workers                       int // workers used
+	windows, errs, cells, skipped uint64
+	busy                          time.Duration
+}
+
+// frame is the body of every frame, warm or cold: it rebuilds the
+// levels when the frame size or the Config (Workers aside) changed,
+// resets the worker counters, runs the level-0 diff, the pan check or
+// the cold start, runs the levels on up to workers workers, appends
+// their raw detections to dst in (level, row, col) order, then sums
+// the worker counters and adds dropped windows to the detector's
+// error count. A one-shot frame is always cold and drops its
+// references to img and to the borrowed worker grids before returning.
+func (s *Sequence) frame(img *imgproc.Image, panX, panY, workers int, dst []Detection) ([]Detection, frameStats) {
+	cfg := s.d.Config
+	cfg.Workers = 0
+	if len(s.lv) == 0 || s.lv[0].w != img.W || s.lv[0].h != img.H || cfg != s.cfg {
+		s.init(img.W, img.H, cfg)
+	}
 	if len(s.ws) < workers {
 		s.ws = append(s.ws, make([]workerScratch, workers-len(s.ws))...)
 	}
 	for k := range s.ws {
 		sc := &s.ws[k]
-		sc.windows, sc.errs, sc.cells, sc.skipped = 0, 0, 0, 0
+		sc.windows, sc.errs, sc.cells, sc.skipped, sc.busy = 0, 0, 0, 0, 0
 	}
 
 	base := s.lv[0]
@@ -192,63 +242,54 @@ func (s *Sequence) NextPanned(img *imgproc.Image, panX, panY int) []Detection {
 				base.changed[y] = true
 			}
 			s.bx0, s.bx1 = 0, base.w
-			copy(base.img.Pix, img.Pix)
+			if s.oneShot {
+				base.img = img
+			} else {
+				copy(base.img.Pix, img.Pix)
+			}
 		}
 	}
-	runLevels(s, s.ws, len(s.lv), workers)
-	s.primed = true
-
-	s.raw = s.raw[:0]
+	fs := frameStats{workers: runLevels(s, workers)}
+	s.primed = !s.oneShot
 	for _, lv := range s.lv {
-		s.raw = append(s.raw, lv.dets[lv.cur]...)
+		dst = append(dst, lv.dets[lv.cur]...)
+		if s.oneShot {
+			lv.img, lv.grid = nil, nil
+		}
 	}
-	s.out = NMSInto(s.out[:0], s.raw, cfg.NMSEpsilon)
-
-	var scanned, errs, cells, skipped uint64
 	for k := range s.ws {
-		scanned += s.ws[k].windows
-		errs += s.ws[k].errs
-		cells += s.ws[k].cells
-		skipped += s.ws[k].skipped
+		sc := &s.ws[k]
+		fs.windows += sc.windows
+		fs.errs += sc.errs
+		fs.cells += sc.cells
+		fs.skipped += sc.skipped
+		fs.busy += sc.busy
 	}
-	if errs > 0 {
-		s.d.descErrors.Add(errs)
+	if fs.errs > 0 {
+		s.d.descErrors.Add(fs.errs)
 	}
-	if measured {
-		s.frames++
-		s.elapsed += time.Since(t0)
-		obs.GaugeM("detect.workers").Set(float64(workers))
-		obs.CounterM("detect.frames").Inc()
-		obs.CounterM("detect.bands_skipped").Add(skipped)
-		obs.CounterM("detect.cells_recomputed").Add(cells)
-		obs.CounterM("detect.windows_scanned").Add(scanned)
-		obs.CounterM("detect.nms_in").Add(uint64(len(s.raw)))
-		obs.CounterM("detect.nms_out").Add(uint64(len(s.out)))
-		if s.totalWindows > 0 {
-			obs.BucketHistogramM("detect.reuse_ratio", obs.RatioBuckets).
-				Observe(1 - float64(scanned)/float64(s.totalWindows))
-		}
-		if secs := s.elapsed.Seconds(); secs > 0 {
-			obs.GaugeM("detect.frames_per_sec").Set(float64(s.frames) / secs)
-		}
-	}
-	return s.out
+	return dst, fs
 }
 
-// init sizes every persistent buffer for w x h frames. Level
-// dimensions are imgproc.PyramidSizes, as in Detect; box scaling uses
-// math.Pow exactly like Detect's scan, so coordinates round
-// identically.
-func (s *Sequence) init(w, h int) {
-	cfg := s.d.Config
+// init builds the levels of w x h frames under cfg. Level dimensions
+// are imgproc.PyramidSizes; box scaling uses math.Pow, so coordinates
+// round exactly as the per-window oracle's do. Only a persistent
+// Sequence gets a level-0 image and level grids of its own.
+func (s *Sequence) init(w, h int, cfg Config) {
 	winW, winH := cfg.WindowCellsX*cfg.CellSize, cfg.WindowCellsY*cfg.CellSize
+	s.cfg = cfg
 	s.lv = s.lv[:0]
 	s.primed = false
 	s.totalWindows = 0
 	for li, sz := range imgproc.PyramidSizes(w, h, cfg.ScaleFactor, winW, winH, cfg.MaxLevels) {
 		lw, lh := sz.W, sz.H
 		lv := &seqLevel{w: lw, h: lh, scale: math.Pow(cfg.ScaleFactor, float64(li))}
-		lv.img = imgproc.New(lw, lh)
+		if !s.oneShot {
+			lv.grid = new(hog.Grid)
+			if li == 0 {
+				lv.img = imgproc.New(lw, lh)
+			}
+		}
 		cs := cfg.CellSize
 		lv.cellsX, lv.cellsY = lw/cs, lh/cs
 		if lv.cellsX >= cfg.WindowCellsX && lv.cellsY >= cfg.WindowCellsY {
@@ -259,8 +300,6 @@ func (s *Sequence) init(w, h int) {
 		lv.chPre = make([]int32, lh+1)
 		lv.dirty = make([]bool, lv.cellsY)
 		lv.dPre = make([]int32, lv.cellsY+1)
-		lv.rowStart[0] = make([]int32, 0, lv.nRows+1)
-		lv.rowStart[1] = make([]int32, 0, lv.nRows+1)
 		s.totalWindows += uint64(lv.nRows) * uint64(lv.nCols)
 		s.lv = append(s.lv, lv)
 	}
@@ -392,56 +431,71 @@ func (s *Sequence) tryPan(img *imgproc.Image, panX, panY int) bool {
 }
 
 // runLevel does all of level li's frame work on worker sc, after the
-// serial level-0 diff or pan: it brings the level's image, dirty rows
-// and column ranges up to date, recomputes its dirty cells and scans
-// its window rows into the level's cache. Deeper levels only read the
-// base level's image and changed rows, which no worker writes.
+// serial level-0 diff or pan: it marks the level's changed pixel rows,
+// dirty cell rows and column ranges, updates its grid and scans its
+// window rows into the level's detection slice. Deeper levels only read
+// level 0's image and changed rows, which no worker writes. With
+// telemetry enabled it records the level's detect.level_ms and
+// detect.level_windows, and a level[li] span when the frame has a
+// parent span.
 func (s *Sequence) runLevel(sc *workerScratch, li int) {
+	measured := obs.Enabled()
+	var levelStart time.Time
+	var span *obs.Span
+	windows0 := sc.windows
+	if measured {
+		levelStart = time.Now()
+		if s.span != nil {
+			span = s.span.StartChild(fmt.Sprintf("level[%d]", li))
+		}
+	}
 	lv := s.lv[li]
+	if s.oneShot {
+		lv.grid = &sc.grid
+	}
+	img := lv.img
+	if li > 0 {
+		if np := lv.w * lv.h; cap(sc.level.Pix) < np {
+			sc.level.Pix = make([]float64, np)
+		}
+		sc.level.W, sc.level.H, sc.level.Pix = lv.w, lv.h, sc.level.Pix[:lv.w*lv.h]
+		img = &sc.level
+	}
 	// Under pan, tryPan has already shifted level 0's grid and marked
 	// its dirty rows and columns.
 	if li > 0 || !s.pan {
 		if li > 0 {
-			s.refreshLevelImage(lv, s.pan)
+			s.markChangedRows(lv, s.pan)
 		}
 		lv.buildChPre()
 		lv.computeDirty(s.d.Config.CellSize)
 		lv.pan, lv.srcRowDelta, lv.srcColDelta, lv.adjX, lv.adjY = false, 0, 0, 0, 0
 		s.levelColRange(lv)
 	}
-	s.updateGrid(sc, lv, lv.pan)
+	s.updateGrid(sc, lv, img, lv.pan)
 	s.scanLevel(sc, lv)
+	if measured {
+		span.End()
+		el := time.Since(levelStart)
+		sc.busy += el
+		obs.BucketHistogramM("detect.level_windows", obs.WindowBuckets).Observe(float64(sc.windows - windows0))
+		obs.BucketHistogramM("detect.level_ms", obs.LatencyMSBuckets).Observe(float64(el.Microseconds()) / 1000)
+	}
 }
 
-// refreshLevelImage brings a deeper level's image up to date with the
-// already-updated base image, recomputing only the output rows whose
-// bilinear source rows changed. imgproc.SourceRows names those rows
-// with the resize kernel's own row taps. forceAll recomputes everything
-// — used under pan, where every base pixel moved.
-func (s *Sequence) refreshLevelImage(lv *seqLevel, forceAll bool) {
+// markChangedRows marks the pixel rows of deeper level lv whose
+// bilinear source rows in level 0 changed; imgproc.SourceRows names
+// those rows with the resize kernel's own row taps. forceAll marks
+// every row — used under pan, where every level-0 pixel moved.
+func (s *Sequence) markChangedRows(lv *seqLevel, forceAll bool) {
 	base := s.lv[0]
-	if forceAll {
-		for y := range lv.changed {
+	for y := range lv.changed {
+		if forceAll {
 			lv.changed[y] = true
-		}
-		imgproc.ResizeRowsInto(lv.img, base.img, 0, lv.h)
-		return
-	}
-	for y := 0; y < lv.h; y++ {
-		r0, r1 := imgproc.SourceRows(base.h, lv.h, y)
-		lv.changed[y] = base.changed[r0] || base.changed[r1]
-	}
-	for y := 0; y < lv.h; {
-		if !lv.changed[y] {
-			y++
 			continue
 		}
-		y1 := y + 1
-		for y1 < lv.h && lv.changed[y1] {
-			y1++
-		}
-		imgproc.ResizeRowsInto(lv.img, base.img, y, y1)
-		y = y1
+		r0, r1 := imgproc.SourceRows(base.h, lv.h, y)
+		lv.changed[y] = base.changed[r0] || base.changed[r1]
 	}
 }
 
@@ -546,19 +600,22 @@ func (lv *seqLevel) addColRange(c0, c1 int) {
 	}
 }
 
-// updateGrid refreshes lv.grid for the current lv.img. Dirty cell rows
+// updateGrid brings lv.grid up to date with the level's pixels, which
+// img holds: level 0's image, or at a deeper level the worker's buffer,
+// into which it first resizes every pixel row it reads. Dirty cell rows
 // are recomputed through full-width cell-aligned sub-image views (one
 // margin cell row on each interior side absorbs the view's border
 // clamping; one extra bottom pixel row replicates the kernels' read
 // past the cell region) and spliced back; the prepared block plane is
-// rebuilt over just the affected block rows. colSplices additionally
-// recomputes the level's dirty cell-column ranges through copied
-// pixel strips (the pan path, where exposed columns cut across every
-// row). When the whole grid is dirty, or no block plane exists to
-// rebuild, it falls back to a plain full GridInto.
-func (s *Sequence) updateGrid(sc *workerScratch, lv *seqLevel, colSplices bool) {
+// rebuilt over just the affected block rows. colSplices (level 0 under
+// pan) additionally recomputes the level's dirty cell-column ranges
+// through copied pixel strips, where exposed columns cut across every
+// row. When the whole grid is dirty, or no block plane exists to
+// rebuild, it falls back to a full recompute (fullGrid).
+func (s *Sequence) updateGrid(sc *workerScratch, lv *seqLevel, img *imgproc.Image, colSplices bool) {
 	cfg := s.d.Config
 	cs := cfg.CellSize
+	base := s.lv[0]
 	bc := lv.grid.BlockCells() // captured before splices invalidate the plane
 	nDirty := int(0)
 	for _, d := range lv.dirty {
@@ -570,8 +627,7 @@ func (s *Sequence) updateGrid(sc *workerScratch, lv *seqLevel, colSplices bool) 
 		return
 	}
 	if nDirty == lv.cellsY || bc == 0 {
-		s.d.Extractor.GridInto(&lv.grid, lv.img)
-		sc.cells += uint64(lv.cellsX) * uint64(lv.cellsY)
+		s.fullGrid(sc, lv, img)
 		return
 	}
 	sc.runs = sc.runs[:0]
@@ -600,13 +656,15 @@ func (s *Sequence) updateGrid(sc *workerScratch, lv *seqLevel, colSplices bool) 
 		if py1 < lv.h {
 			py1++
 		}
-		lv.sub.W, lv.sub.H = lv.w, py1-py0
-		lv.sub.Pix = lv.img.Pix[py0*lv.w : py1*lv.w]
-		s.d.Extractor.GridInto(&sc.subGrid, &lv.sub)
+		if lv != base {
+			imgproc.ResizeRowsInto(img, base.img, py0, py1)
+		}
+		sc.sub.W, sc.sub.H = lv.w, py1-py0
+		sc.sub.Pix = img.Pix[py0*lv.w : py1*lv.w]
+		s.d.Extractor.GridInto(&sc.subGrid, &sc.sub)
 		if sc.subGrid.CellsX != lv.cellsX || sc.subGrid.Bins != lv.grid.Bins {
 			// Unexpected geometry from the extractor: recompute fully.
-			s.d.Extractor.GridInto(&lv.grid, lv.img)
-			sc.cells += uint64(lv.cellsX) * uint64(lv.cellsY)
+			s.fullGrid(sc, lv, img)
 			return
 		}
 		lv.grid.SpliceRows(&sc.subGrid, r0-s0, r0, r1)
@@ -614,7 +672,7 @@ func (s *Sequence) updateGrid(sc *workerScratch, lv *seqLevel, colSplices bool) 
 	}
 	if colSplices {
 		for k := 0; k < lv.nColRanges; k++ {
-			s.spliceColRange(sc, lv, lv.colRanges[k][0], lv.colRanges[k][1])
+			s.spliceColRange(sc, lv, img, lv.colRanges[k][0], lv.colRanges[k][1])
 		}
 	}
 	nby := lv.cellsY - bc + 1
@@ -651,16 +709,27 @@ func (s *Sequence) updateGrid(sc *workerScratch, lv *seqLevel, colSplices bool) 
 		ok = lv.grid.RebuildBlockRange(0, 0, 0, 0)
 	}
 	if !ok {
-		s.d.Extractor.GridInto(&lv.grid, lv.img)
-		sc.cells += uint64(lv.cellsX) * uint64(lv.cellsY)
+		s.fullGrid(sc, lv, img)
 	}
 }
 
-// spliceColRange recomputes cell columns [c0, c1) of lv through a
-// copied pixel strip with one margin cell column on each interior side
-// (plus one extra pixel column on an interior right edge), full
-// height, and splices the interior columns back into the grid.
-func (s *Sequence) spliceColRange(sc *workerScratch, lv *seqLevel, c0, c1 int) {
+// fullGrid recomputes all of lv.grid from img, first resizing every
+// pixel row of a deeper level into img (a partial update may have
+// resized only some), and counts the cells.
+func (s *Sequence) fullGrid(sc *workerScratch, lv *seqLevel, img *imgproc.Image) {
+	if base := s.lv[0]; lv != base {
+		imgproc.ResizeRowsInto(img, base.img, 0, lv.h)
+	}
+	s.d.Extractor.GridInto(lv.grid, img)
+	sc.cells += uint64(lv.cellsX) * uint64(lv.cellsY)
+}
+
+// spliceColRange recomputes cell columns [c0, c1) of lv from img
+// through a copied pixel strip with one margin cell column on each
+// interior side (plus one extra pixel column on an interior right
+// edge), full height, and splices the interior columns back into the
+// grid.
+func (s *Sequence) spliceColRange(sc *workerScratch, lv *seqLevel, img *imgproc.Image, c0, c1 int) {
 	if c0 >= c1 {
 		return
 	}
@@ -684,12 +753,11 @@ func (s *Sequence) spliceColRange(sc *workerScratch, lv *seqLevel, c0, c1 int) {
 	sc.strip.Pix = sc.strip.Pix[:need]
 	sc.strip.W, sc.strip.H = sw, lv.h
 	for y := 0; y < lv.h; y++ {
-		copy(sc.strip.Pix[y*sw:(y+1)*sw], lv.img.Pix[y*lv.w+px0:y*lv.w+px1])
+		copy(sc.strip.Pix[y*sw:(y+1)*sw], img.Pix[y*lv.w+px0:y*lv.w+px1])
 	}
 	s.d.Extractor.GridInto(&sc.stripGrid, &sc.strip)
 	if sc.stripGrid.CellsY != lv.cellsY || sc.stripGrid.Bins != lv.grid.Bins {
-		s.d.Extractor.GridInto(&lv.grid, lv.img)
-		sc.cells += uint64(lv.cellsX) * uint64(lv.cellsY)
+		s.fullGrid(sc, lv, img)
 		return
 	}
 	lv.grid.SpliceCols(&sc.stripGrid, c0-c0m, c0, c1)
@@ -699,7 +767,9 @@ func (s *Sequence) spliceColRange(sc *workerScratch, lv *seqLevel, c0, c1 int) {
 // scanLevel classifies every window row of lv and rebuilds the level's
 // raw candidate cache in exact (row, col) scan order: clean rows are
 // copied from the previous frame's cache, the others rescanned by
-// scanSeqRow. The worker that claimed the level runs all of it.
+// scanSeqRow. The worker that claimed the level runs all of it. A
+// one-shot frame, whose rows are all rescanned, writes its one
+// detection slice in place.
 //
 //pcnn:hotpath
 func (s *Sequence) scanLevel(sc *workerScratch, lv *seqLevel) {
@@ -719,6 +789,9 @@ func (s *Sequence) scanLevel(sc *workerScratch, lv *seqLevel) {
 	allCols := lv.nColRanges == 1 &&
 		lv.colRanges[0][0] <= 0 && lv.colRanges[0][1] >= lv.cellsX
 	nxt := 1 - lv.cur
+	if s.oneShot {
+		nxt = lv.cur
+	}
 	nd := lv.dets[nxt][:0]
 	nrs := append(lv.rowStart[nxt][:0], 0)
 	prevDets := lv.dets[lv.cur]
@@ -775,7 +848,7 @@ func (s *Sequence) scanLevel(sc *workerScratch, lv *seqLevel) {
 func (s *Sequence) scanSeqRow(sc *workerScratch, lv *seqLevel, r int, full bool, dst []Detection) []Detection {
 	d := s.d
 	cfg := d.Config
-	g := &lv.grid
+	g := lv.grid
 	wcx, stride := cfg.WindowCellsX, cfg.StrideCells
 	gy := r * stride
 	n := windowsAcross(g.CellsX, wcx, stride)
