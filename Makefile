@@ -7,7 +7,7 @@ GO ?= go
 .PHONY: build test check fmt vet race lint perfbench-check perfbench-layout bench bench-obs bench-sim bench-detect bench-gate fuzz clean
 
 # FUZZTIME bounds each fuzz target's smoke run (the committed seed
-# corpora under internal/{truenorth,eedn,imgproc,hog,detect}/testdata/fuzz
+# corpora under internal/{truenorth,eedn,imgproc,hog,detect,parrot}/testdata/fuzz
 # always run as plain tests; this is extra mutation time).
 FUZZTIME ?= 15s
 
@@ -59,7 +59,11 @@ perfbench-check:
 # perfbench-layout builds the benchmark binary exactly as
 # perfbench/run.sh does and prints where the linker placed the hot
 # loops whose speed may depend on their 64-byte alignment (ROADMAP item
-# 1): address and address mod 64 of eedn.(*Dense).preact,
+# 1): address and address mod 64 of eedn.(*Dense).preact (training
+# only since the inference kernel), the kernel's
+# eedn.(*Network).run and its lane loops eedn.floatLanes,
+# eedn.spikeLanes, eedn.floatLane and eedn.spikeLane, the parrot cell
+# loop's bodies parrot.gatherCells and parrot.(*Extractor).emitCells,
 # svm.(*Model).Score, the block-plane SVM kernel
 # hog.(*Extractor).LinearScoresInto, the FPGA-HoG cell pass
 # hog.(*FPGAExtractor).fixedCellPass, the bilinear pyramid kernel
@@ -78,6 +82,10 @@ perfbench-layout:
 		GOTOOLCHAIN=local $(GO) build -o $(BENCH_BUILD)/perfbench .
 	@$(GO) tool nm $(BENCH_BUILD)/perfbench | \
 		awk '$$3 == "repro/internal/eedn.(*Dense).preact" || $$3 == "repro/internal/svm.(*Model).Score" || \
+			$$3 == "repro/internal/eedn.(*Network).run" || \
+			$$3 == "repro/internal/eedn.floatLanes" || $$3 == "repro/internal/eedn.spikeLanes" || \
+			$$3 == "repro/internal/eedn.floatLane" || $$3 == "repro/internal/eedn.spikeLane" || \
+			$$3 == "repro/internal/parrot.gatherCells" || $$3 == "repro/internal/parrot.(*Extractor).emitCells" || \
 			$$3 == "repro/internal/hog.(*Extractor).LinearScoresInto" || \
 			$$3 == "repro/internal/hog.(*FPGAExtractor).fixedCellPass" || \
 			$$3 == "repro/internal/imgproc.resizeRows" || \
@@ -149,6 +157,7 @@ fuzz:
 	$(GO) test ./internal/hog -run '^$$' -fuzz '^FuzzLinearScores$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/hog -run '^$$' -fuzz '^FuzzFPGAGridInto$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/detect -run '^$$' -fuzz '^FuzzSequenceMatchesPerFrame$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/parrot -run '^$$' -fuzz '^FuzzParrotInference$$' -fuzztime $(FUZZTIME)
 
 clean:
 	rm -f BENCH_obs.json BENCH_sim.json BENCH_detect.json

@@ -23,6 +23,7 @@ import (
 	"fmt"
 	"math/rand"
 	"slices"
+	"sync"
 
 	"repro/internal/dataset"
 	"repro/internal/detect"
@@ -164,29 +165,45 @@ func WrapParrot(e *parrot.Extractor) Extractor {
 // EednClassifier adapts an Eedn network with a single score output to
 // the detect.Scorer interface. Inputs are rescaled by 1/Scale before
 // the network (Eedn inputs live in [0, 1]; raw HoG count features live
-// in [0, 64]).
+// in [0, 64]). Net must be a stack of eedn.Dense layers, as every
+// classifier preset is.
 type EednClassifier struct {
 	Net   *eedn.Network
 	Scale float64
 }
 
-// Score implements detect.Scorer. The Eedn forward pass allocates its
-// layer activations per call, so this Scorer is outside the 0-alloc
-// scan envelope — acceptable because Eedn scoring is the training-side
-// evaluation path, not the deployed FPGA/TrueNorth pipeline.
-func (c *EednClassifier) Score(x []float64) float64 { //lint:allow hotalloc eedn forward pass allocates per call; not a deployment scorer
+// scoreScratch is the working memory of one Score call: the kernel's
+// planes and the rescaled input.
+type scoreScratch struct {
+	k  eedn.Scratch
+	in []float64
+}
+
+var scorePool = sync.Pool{New: func() any { return new(scoreScratch) }}
+
+// Score implements detect.Scorer. It runs one lane of the eedn
+// inference kernel on pooled scratch, bit-identical to Net.Forward of
+// the rescaled input, and allocates nothing once the scratch is warm;
+// the hidden threshold layers take spikes, so they run as popcounts.
+func (c *EednClassifier) Score(x []float64) float64 {
+	s := scorePool.Get().(*scoreScratch)
+	c.Net.Reserve(&s.k, 1)
 	in := x
 	if c.Scale != 0 && c.Scale != 1 {
-		in = make([]float64, len(x))
+		s.in = append(s.in[:0], x...)
 		inv := 1 / c.Scale
-		for i, v := range x {
-			in[i] = v * inv
-			if in[i] > 1 {
-				in[i] = 1
+		for i, v := range s.in {
+			v *= inv
+			if v > 1 {
+				v = 1
 			}
+			s.in[i] = v
 		}
+		in = s.in
 	}
-	return c.Net.Forward(in)[0]
+	v := c.Net.Infer(&s.k, in)[0]
+	scorePool.Put(s)
+	return v
 }
 
 // Partition is a co-trained extraction/classification pair, the

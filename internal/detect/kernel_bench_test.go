@@ -16,7 +16,8 @@ import (
 // microbenchmarks cover every GridInto/DescriptorInto implementation:
 // the float reference HoG, the fixed-point FPGA model, the
 // spiking-quantized NApprox, and the parrot network (untrained — the
-// kernel cost does not depend on the weights).
+// kernel cost does not depend on the weights) at full precision and,
+// as parrot-w8, under deterministic 8-spike input coding.
 func benchExtractors(b *testing.B) map[string]Extractor {
 	b.Helper()
 	ref, err := hog.NewExtractor(hog.Reference())
@@ -39,7 +40,11 @@ func benchExtractors(b *testing.B) map[string]Extractor {
 	if err != nil {
 		b.Fatal(err)
 	}
-	return map[string]Extractor{"hog": ref, "fpga": fpga, "napprox": na, "parrot": pr}
+	pr8, err := parrot.NewExtractor(net, 8, false, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return map[string]Extractor{"hog": ref, "fpga": fpga, "napprox": na, "parrot": pr, "parrot-w8": pr8}
 }
 
 // BenchmarkGridInto measures the per-level cell-grid kernels of every
@@ -66,6 +71,7 @@ func BenchmarkGridInto(b *testing.B) {
 		{"fpga", exts["fpga"], img},
 		{"napprox", exts["napprox"], img},
 		{"parrot", exts["parrot"], img},
+		{"parrot-w8", exts["parrot-w8"], img},
 		{"fpga-rails", exts["fpga"], rails},
 	} {
 		b.Run(run.name, func(b *testing.B) {
@@ -156,5 +162,34 @@ func BenchmarkLinearScores(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// BenchmarkEvaluate measures Evaluate, the last stage of an evaluation
+// run, on 16 images of 60 scored detections and 3 ground-truth boxes
+// each, a third of the detections overlapping a truth.
+func BenchmarkEvaluate(b *testing.B) {
+	const images, perImage = 16, 60
+	dets := make([][]Detection, images)
+	truths := make([][]dataset.Box, images)
+	for i := range dets {
+		for t := 0; t < 3; t++ {
+			truths[i] = append(truths[i], dataset.Box{X: 20 + 90*t, Y: 40, W: 64, H: 128})
+		}
+		for k := 0; k < perImage; k++ {
+			x := 5 * k
+			if k%3 == 0 {
+				x = 20 + 90*(k%9/3) + k%7
+			}
+			dets[i] = append(dets[i], Detection{
+				Box:   dataset.Box{X: x, Y: 36 + k%11, W: 64, H: 128},
+				Score: float64((k*37+i)%101) / 101,
+			})
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		_ = Evaluate(dets, truths, 0.5)
 	}
 }

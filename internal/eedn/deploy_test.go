@@ -18,6 +18,7 @@ func buildBinaryNet(t *testing.T, seed int64) *Network {
 		for i := range d.Hidden {
 			d.Hidden[i] = float64(rng.Intn(3)-1) * 0.9 // in {-0.9, 0, 0.9}
 		}
+		d.redeploy()
 		for j := range d.Bias {
 			d.Bias[j] = (rng.Float64()*2 - 1) * 0.8
 		}
@@ -116,6 +117,7 @@ func BenchmarkDeployedPass(b *testing.B) {
 		for i := range d.Hidden {
 			d.Hidden[i] = float64(rng.Intn(3)-1) * 0.9
 		}
+		d.redeploy()
 	}
 	net, _ := NewNetwork(l1, l2)
 	dep, err := Deploy(net)

@@ -4,7 +4,6 @@ import (
 	"math"
 	"math/rand"
 	"testing"
-	"testing/quick"
 )
 
 func TestTrinarize(t *testing.T) {
@@ -32,6 +31,7 @@ func TestDenseForwardUsesTrinaryWeights(t *testing.T) {
 	d := NewDense(2, 1, rng)
 	d.Hidden[0] = 0.9  // -> +1
 	d.Hidden[1] = -0.2 // -> 0 (dead zone)
+	d.redeploy()
 	d.Bias[0] = 0
 	out := d.Forward([]float64{1, 1})
 	// pre = (1 + 0)/sqrt(2) >= 0 -> fires.
@@ -52,6 +52,7 @@ func TestDenseLinearReadout(t *testing.T) {
 	for i := range d.Hidden {
 		d.Hidden[i] = 1
 	}
+	d.redeploy()
 	d.Bias[0] = 0.25
 	out := d.Forward([]float64{1, 1, 1, 1})
 	want := 4.0/2 + 0.25 // sum/sqrt(4) + bias
@@ -240,28 +241,6 @@ func TestInferSpikingApproachesFullPrecision(t *testing.T) {
 	}
 	if got := net.InferSpiking(x, 0, nil); len(got) != 6 {
 		t.Error("window 0 should fall back to Forward")
-	}
-}
-
-func TestDequantize(t *testing.T) {
-	out := Dequantize([]float64{0.3, -0.5, 1.4}, 4)
-	if out[0] != 0.25 || out[1] != 0 || out[2] != 1 {
-		t.Errorf("Dequantize = %v", out)
-	}
-}
-
-func TestDequantizePropertyRepresentable(t *testing.T) {
-	f := func(v float64, w uint8) bool {
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			return true
-		}
-		window := int(w%32) + 1
-		q := Dequantize([]float64{v}, window)[0]
-		k := q * float64(window)
-		return math.Abs(k-math.Round(k)) < 1e-9 && q >= 0 && q <= 1
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
 	}
 }
 

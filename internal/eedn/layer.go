@@ -12,10 +12,11 @@
 //   - Layers and filters are partitioned into groups so every filter's
 //     fan-in fits a 256x256 TrueNorth core crossbar.
 //
-// Inference runs one binary pass per coding tick: inputs are binarized
-// (stochastically or by thresholding against a deterministic schedule)
-// and output spikes are accumulated over the coding window, yielding
-// confidence values in [0, 1].
+// Deployed inference runs in the lane kernel (kernel.go): up to Lanes
+// inputs per pass, in place on caller scratch, with spike inputs
+// counted against per-neuron bit masks. A coded input runs one spike
+// pass per tick of its coding window, and the outputs are averaged
+// over the window into confidence values.
 package eedn
 
 import (
@@ -68,12 +69,11 @@ type Dense struct {
 	In, Out int
 	// Hidden holds the high-precision training weights, Out x In
 	// row-major. Inference does not read Hidden: it reads the deployed
-	// synapse rows derived from it on the layer's first pass, which
-	// Update refreshes wherever it moves a weight across the dead-zone
-	// edge. Write Hidden only before the first pass, or the rows go
-	// stale; in this package only NewDense, Load and Update write it.
-	// TrainParallel replicas share both Hidden and the rows with their
-	// master.
+	// synapse rows NewDense derives from it, which Update refreshes
+	// wherever it moves a weight across the dead-zone edge. Only
+	// NewDense and Update write Hidden; a direct write leaves the rows
+	// stale. TrainParallel replicas share both Hidden and the rows with
+	// their master.
 	Hidden []float64
 	// Bias holds per-neuron biases (negated firing thresholds).
 	Bias []float64
@@ -85,7 +85,8 @@ type Dense struct {
 
 	// deployed publishes the synapse rows derived from Hidden. It is
 	// atomic because DetectStream runs parrot inference on several
-	// goroutines, and a pointer so TrainParallel replicas share it.
+	// goroutines while parrot.Train's probe shares a training network,
+	// and a pointer so TrainParallel replicas share it.
 	deployed *atomic.Pointer[synapseRows]
 
 	// training state
@@ -119,6 +120,7 @@ func NewDense(in, out int, rng *rand.Rand) *Dense {
 	for i := range d.Hidden {
 		d.Hidden[i] = (rng.Float64()*2 - 1) * 0.8
 	}
+	d.deployed.Store(deriveSynapses(d.Hidden, in, out))
 	return d
 }
 
@@ -129,52 +131,58 @@ type synapse struct {
 	sgn float64
 }
 
-// synapseRows holds a dense layer's deployed weights as per-neuron
-// sparse rows: row j lists, in ascending input order, the inputs whose
-// hidden weight trinarizes to ±1. A TrueNorth neuron integrates only
-// its connected synapses, and preact does the same, so its work scales
-// with the nonzero weights rather than with In x Out.
-type synapseRows [][]synapse
+// deployedRow is one neuron's deployed weights in two forms: syn lists
+// its connected synapses in ascending input order, for float inputs,
+// and pos and neg are bit masks over its inputs, for spike inputs: bit
+// i%64 of word i/64 is set in pos where input i's weight is +1 and in
+// neg where it is -1.
+type deployedRow struct {
+	syn      []synapse
+	pos, neg []uint64
+}
+
+// synapseRows holds a dense layer's deployed weights, one row per
+// neuron. A TrueNorth neuron integrates only its connected synapses,
+// and preact and the inference kernel do the same, so their work
+// scales with the nonzero weights rather than with In x Out.
+type synapseRows []deployedRow
 
 // deriveSynapses builds the deployed rows of an out x in hidden matrix.
 func deriveSynapses(hidden []float64, in, out int) *synapseRows {
 	rows := make(synapseRows, out)
 	for j := range rows {
-		rows[j] = rowSynapses(hidden[j*in : (j+1)*in])
+		rows[j] = deployRow(hidden[j*in : (j+1)*in])
 	}
 	return &rows
 }
 
-// rowSynapses returns the connected synapses of one neuron's hidden
-// weights. It does not branch on a weight: every weight writes its
-// synapse into the next free slot, and only a nonzero one advances
-// past it.
-func rowSynapses(hidden []float64) []synapse {
+// deployRow returns the deployed row of one neuron's hidden weights.
+// It does not branch on a weight: every weight writes its synapse into
+// the next free slot, and only a nonzero one advances past it; its
+// mask bits are set by shifting a 0 or 1.
+func deployRow(hidden []float64) deployedRow {
 	n := 0
 	for _, w := range hidden {
 		t := trinary(w)
 		n += t * t
 	}
-	row := make([]synapse, n+1) // one spare slot for trailing zeros
+	syn := make([]synapse, n+1) // one spare slot for trailing zeros
+	words := SpikeWords(len(hidden))
+	masks := make([]uint64, 2*words)
+	pos, neg := masks[:words:words], masks[words:]
 	n = 0
 	for i, w := range hidden {
 		t := trinary(w)
-		row[n] = synapse{in: i, sgn: float64(t)}
+		syn[n] = synapse{in: i, sgn: float64(t)}
 		n += t * t
+		pos[i>>6] |= uint64(b2i(t > 0)) << (i & 63)
+		neg[i>>6] |= uint64(b2i(t < 0)) << (i & 63)
 	}
-	return row[:n:n]
+	return deployedRow{syn: syn[:n:n], pos: pos, neg: neg}
 }
 
-// synapses returns the published deployed rows, deriving them on first
-// use. Concurrent first passes may each derive them; they read the same
-// Hidden, so the rows are equal, and the first to publish wins.
-func (d *Dense) synapses() synapseRows {
-	if r := d.deployed.Load(); r != nil {
-		return *r
-	}
-	d.deployed.CompareAndSwap(nil, deriveSynapses(d.Hidden, d.In, d.Out))
-	return *d.deployed.Load()
-}
+// synapses returns the published deployed rows.
+func (d *Dense) synapses() synapseRows { return *d.deployed.Load() }
 
 // InDim returns the input dimension.
 func (d *Dense) InDim() int { return d.In }
@@ -187,14 +195,7 @@ func (d *Dense) OutDim() int { return d.Out }
 // input order. In IEEE-754, 1*x == x and s + (-1*x) == s - x, so this
 // is bit-identical to adding or subtracting x per nonzero weight.
 func (d *Dense) preact(x []float64, out []float64) {
-	norm := 1 / math.Sqrt(float64(d.In))
-	for j, row := range d.synapses() {
-		var s float64
-		for _, e := range row {
-			s += e.sgn * x[e.in]
-		}
-		out[j] = s*norm + d.Bias[j]
-	}
+	floatLane(d.synapses(), x, 1/math.Sqrt(float64(d.In)), d.Bias, out)
 }
 
 // Forward computes the deployed-network output for x: binary threshold
@@ -302,7 +303,7 @@ func (d *Dense) BackwardParamsOnly(gradOut []float64) {
 // Update applies one SGD-with-momentum step from the accumulated
 // gradients (scaled by 1/batch), clips hidden weights to [-1, 1],
 // clears the gradient accumulators and, if any trinary weight changed,
-// publishes new deployed synapse rows.
+// publishes new deployed rows, synapses and masks together.
 func (d *Dense) Update(lr, momentum float64, batch int) {
 	if batch <= 0 {
 		batch = 1
@@ -327,11 +328,11 @@ func (d *Dense) Update(lr, momentum float64, batch int) {
 		// Few weights cross the dead-zone edge in one step, so only
 		// the rows they are in are derived again; published rows are
 		// never written, so the new rows share the others.
-		if flips != 0 && prev != nil {
+		if flips != 0 {
 			if next == nil {
 				next = slices.Clone(*prev)
 			}
-			next[j] = rowSynapses(d.Hidden[j*d.In : (j+1)*d.In])
+			next[j] = deployRow(d.Hidden[j*d.In : (j+1)*d.In])
 		}
 	}
 	for j := range d.Bias {

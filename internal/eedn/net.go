@@ -2,7 +2,6 @@ package eedn
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 )
 
@@ -197,85 +196,4 @@ func lossAndGrad(loss Loss, out, target, grad []float64) float64 {
 		l /= float64(len(out))
 	}
 	return l
-}
-
-// BinarizeDeterministic returns the t-th of `window` deterministic
-// binary input frames for value vector x in [0,1]: frame t thresholds
-// against (t+0.5)/window, so the number of 1-frames over the window is
-// round(v*window) (a thermometer rate code).
-func BinarizeDeterministic(x []float64, t, window int, dst []float64) []float64 {
-	if dst == nil {
-		dst = make([]float64, len(x))
-	}
-	th := (float64(t) + 0.5) / float64(window)
-	for i, v := range x {
-		if v >= th {
-			dst[i] = 1
-		} else {
-			dst[i] = 0
-		}
-	}
-	return dst
-}
-
-// BinarizeStochastic samples a Bernoulli frame: bit i is 1 with
-// probability x[i]. This is the stochastic coding of the paper's
-// Parrot front end.
-func BinarizeStochastic(x []float64, rng *rand.Rand, dst []float64) []float64 {
-	if dst == nil {
-		dst = make([]float64, len(x))
-	}
-	for i, v := range x {
-		if rng.Float64() < v {
-			dst[i] = 1
-		} else {
-			dst[i] = 0
-		}
-	}
-	return dst
-}
-
-// InferSpiking runs `window` binary passes over the network with
-// stochastic (rng != nil) or deterministic input coding, and returns
-// the per-output mean — the spike-count confidence the hardware
-// accumulates over the coding window (Sec. 5.2's n-spike options).
-func (n *Network) InferSpiking(x []float64, window int, rng *rand.Rand) []float64 {
-	if window <= 0 {
-		return n.Forward(x)
-	}
-	acc := make([]float64, n.OutDim())
-	frame := make([]float64, len(x))
-	for t := 0; t < window; t++ {
-		if rng != nil {
-			BinarizeStochastic(x, rng, frame)
-		} else {
-			BinarizeDeterministic(x, t, window, frame)
-		}
-		out := n.Forward(frame)
-		for i, v := range out {
-			acc[i] += v
-		}
-	}
-	inv := 1 / float64(window)
-	for i := range acc {
-		acc[i] *= inv
-	}
-	return acc
-}
-
-// Dequantize clamps and rounds x to the representable values of an
-// n-spike code, modeling the information loss of a spiking link
-// without running passes.
-func Dequantize(x []float64, window int) []float64 {
-	out := make([]float64, len(x))
-	for i, v := range x {
-		if v < 0 {
-			v = 0
-		}
-		if v > 1 {
-			v = 1
-		}
-		out[i] = math.Round(v*float64(window)) / float64(window)
-	}
-	return out
 }

@@ -108,6 +108,7 @@ func FuzzDenseTrinary(f *testing.F) {
 		for i := range d.Hidden {
 			d.Hidden[i] = pick(trinaryEdgeWeights, wsel[i], wFree)
 		}
+		d.redeploy()
 		for j := range d.Bias {
 			d.Bias[j] = bias
 		}

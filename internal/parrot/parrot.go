@@ -16,7 +16,8 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"slices"
+	"sort"
+	"sync"
 	"time"
 
 	"repro/internal/eedn"
@@ -58,8 +59,12 @@ func reference() (*napprox.Extractor, error) {
 // (with random offsets — "different ratio of 1's and 0's so the
 // feature extractor can learn to deal with samples with offsets") and
 // linear ramps, at angles jittered within each orientation class.
-// Deterministic per seed.
+// Deterministic per seed. A count of 0 yields no samples, and a
+// negative count an error.
 func GenerateSamples(n int, seed int64) ([]Sample, error) {
+	if n < 0 {
+		return nil, fmt.Errorf("parrot: %d samples", n)
+	}
 	ref, err := reference()
 	if err != nil {
 		return nil, err
@@ -231,7 +236,8 @@ func Train(opt TrainOptions) (*Extractor, float64, error) {
 	return ex, loss, nil
 }
 
-// NewExtractor wraps a trained parrot network.
+// NewExtractor wraps a trained parrot network. The network must be a
+// stack of eedn.Dense layers, which the inference kernel runs.
 func NewExtractor(net *eedn.Network, window int, stochastic bool, rng *rand.Rand) (*Extractor, error) {
 	if net == nil {
 		return nil, fmt.Errorf("parrot: nil network")
@@ -239,6 +245,9 @@ func NewExtractor(net *eedn.Network, window int, stochastic bool, rng *rand.Rand
 	if net.InDim() != CellSide*CellSide || net.OutDim() != NBins {
 		return nil, fmt.Errorf("parrot: network is %dx%d, want %dx%d",
 			net.InDim(), net.OutDim(), CellSide*CellSide, NBins)
+	}
+	if err := net.CheckDense(); err != nil {
+		return nil, fmt.Errorf("parrot: %w", err)
 	}
 	if stochastic && rng == nil {
 		return nil, fmt.Errorf("parrot: stochastic coding needs an rng")
@@ -268,23 +277,148 @@ func (e *Extractor) SetNorm(norm hog.NormMode) error {
 	return nil
 }
 
-// infer runs the network at the configured precision.
-func (e *Extractor) infer(pix []float64) []float64 {
+// scratch is the working memory of one parrot inference call: the
+// kernel's planes, the input patches (lane-interleaved, one lane per
+// cell), the coded ticks of a window and their output sums.
+type scratch struct {
+	k      eedn.Scratch
+	in     []float64
+	frames []uint64
+	acc    []float64
+}
+
+// scratchPool lends scratch to concurrent GridInto calls on distinct
+// grids and to CellHistogramInto.
+var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
+
+// patchLen is the number of pixels in one bordered patch.
+const patchLen = CellSide * CellSide
+
+// getScratch returns pooled scratch sized for passes at the given lane
+// width (1 or eedn.Lanes) at the extractor's window.
+func (e *Extractor) getScratch(lanes int) *scratch {
+	s := scratchPool.Get().(*scratch)
+	e.Net.Reserve(&s.k, lanes)
+	lanes = s.k.Lanes()
+	s.in = grow(s.in, patchLen*lanes)
+	if e.Window > 0 {
+		s.frames = grow(s.frames, e.Window*eedn.SpikeWords(patchLen)*lanes)
+		s.acc = grow(s.acc, NBins*lanes)
+	}
+	return s
+}
+
+// grow returns b resized to n, reallocating only when it is too small.
+func grow[T any](b []T, n int) []T {
+	if cap(b) < n {
+		return make([]T, n)
+	}
+	return b[:n]
+}
+
+// code writes the spike frames of lanes [0, n) of s.in at window > 0:
+// cell by cell, then tick by tick, then input by input, the order in
+// which the per-cell float path drew from Rng. Spare lanes stay silent.
+// It does nothing at window 0. The Rng draws keep it outside the
+// allocation proof, which cannot see into math/rand; TestGridIntoAllocs
+// covers it at run time.
+func (e *Extractor) code(s *scratch, n int) {
 	if e.Window <= 0 {
-		return e.Net.Forward(pix)
+		return
 	}
-	if e.Stochastic {
-		return e.Net.InferSpiking(pix, e.Window, e.Rng)
+	lanes := s.k.Lanes()
+	fw := eedn.SpikeWords(patchLen) * lanes
+	clear(s.frames)
+	for l := 0; l < n; l++ {
+		for t := 0; t < e.Window; t++ {
+			f := s.frames[t*fw : (t+1)*fw]
+			if e.Stochastic {
+				codeBernoulli(f, s.in, l, lanes, e.Rng)
+			} else {
+				codeThreshold(f, s.in, l, lanes, (float64(t)+0.5)/float64(e.Window))
+			}
+		}
 	}
-	return e.Net.InferSpiking(pix, e.Window, nil)
+}
+
+// codeThreshold sets lane l of spike frame f for one deterministic
+// tick: input i fires when its value is >= th (a NaN never does).
+func codeThreshold(f []uint64, x []float64, l, lanes int, th float64) {
+	for i := 0; i < patchLen; i++ {
+		f[(i>>6)*lanes+l] |= b2u(x[i*lanes+l] >= th) << (i & 63)
+	}
+}
+
+// codeBernoulli sets lane l of spike frame f for one stochastic tick:
+// input i fires when a draw from rng is below its value. Every input
+// takes one draw, whatever its value.
+func codeBernoulli(f []uint64, x []float64, l, lanes int, rng *rand.Rand) {
+	for i := 0; i < patchLen; i++ {
+		u := rng.Float64()
+		f[(i>>6)*lanes+l] |= b2u(u < x[i*lanes+l]) << (i & 63)
+	}
+}
+
+// b2u is 1 for true and 0 for false, without a branch.
+func b2u(b bool) uint64 {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+// infer runs the network on the lanes of s at the configured
+// precision and returns NBins outputs per lane, lane-interleaved: at
+// window 0 one kernel pass on the patches in s.in, otherwise one pass
+// per tick on the frames code wrote, the outputs summed in tick order
+// and scaled by 1/window.
+func (e *Extractor) infer(s *scratch) []float64 {
+	if e.Window <= 0 {
+		return e.Net.Infer(&s.k, s.in)
+	}
+	fw := eedn.SpikeWords(patchLen) * s.k.Lanes()
+	clear(s.acc)
+	for t := 0; t < e.Window; t++ {
+		out := e.Net.InferSpikes(&s.k, s.frames[t*fw:(t+1)*fw])
+		for i, v := range out {
+			s.acc[i] += v
+		}
+	}
+	inv := 1 / float64(e.Window)
+	for i := range s.acc {
+		s.acc[i] *= inv
+	}
+	return s.acc
+}
+
+// writeHist writes lane l of the lane-interleaved network outputs out
+// into hist as vote counts: the outputs above their median, minus it,
+// times 64. Raw one-vs-all hinge scores sit on an arbitrary affine
+// scale (most targets are -1), so the median subtraction keeps the
+// upper half of the confidence distribution, yielding sparse
+// histogram-like features; on TrueNorth this recalibration is folded
+// into the output neurons' firing thresholds.
+func writeHist(hist, out []float64, l, lanes int) {
+	var sorted [NBins]float64
+	for k := range sorted {
+		sorted[k] = out[k*lanes+l]
+	}
+	// sort.Float64s is slices.Sort under the sort package's name, whose
+	// in-place entry points the allocation proof accepts.
+	sort.Float64s(sorted[:])
+	med := sorted[NBins/2]
+	for k := range hist {
+		if v := out[k*lanes+l]; v > med {
+			hist[k] = (v - med) * 64
+		} else {
+			hist[k] = 0
+		}
+	}
 }
 
 // CellHistogram returns the parrot confidences for one 10x10 cell,
 // scaled to vote counts (x64) so the feature scale matches the
-// extractors it parrots. Raw one-vs-all hinge scores sit on an
-// arbitrary affine scale (most targets are -1), so the per-cell
-// minimum is subtracted first — on TrueNorth this recalibration is
-// folded into the output neurons' firing thresholds.
+// extractors it parrots (see writeHist).
 func (e *Extractor) CellHistogram(cell *imgproc.Image) ([]float64, error) {
 	hist := make([]float64, NBins)
 	if err := e.CellHistogramInto(hist, cell); err != nil {
@@ -294,8 +428,8 @@ func (e *Extractor) CellHistogram(cell *imgproc.Image) ([]float64, error) {
 }
 
 // CellHistogramInto is CellHistogram writing into a caller-provided
-// histogram (NBins long), with the median scratch kept on the stack.
-// Network inference still allocates internally.
+// histogram (NBins long). It runs one lane of the inference kernel on
+// pooled scratch, so a warm call allocates nothing.
 func (e *Extractor) CellHistogramInto(hist []float64, cell *imgproc.Image) error {
 	if cell.W != CellSide || cell.H != CellSide {
 		return fmt.Errorf("parrot: cell must be %dx%d, got %dx%d",
@@ -304,33 +438,23 @@ func (e *Extractor) CellHistogramInto(hist []float64, cell *imgproc.Image) error
 	if len(hist) != NBins {
 		return fmt.Errorf("parrot: hist has %d bins, want %d", len(hist), NBins)
 	}
-	out := e.infer(cell.Pix)
-	// Median subtraction keeps the upper half of the confidence
-	// distribution, yielding sparse histogram-like features.
-	var sortedArr [NBins]float64
-	sorted := sortedArr[:]
-	copy(sorted, out)
-	slices.Sort(sorted)
-	med := sorted[NBins/2]
-	for k, v := range out {
-		if v > med {
-			hist[k] = (v - med) * 64
-		} else {
-			hist[k] = 0
-		}
-	}
+	s := e.getScratch(1)
+	copy(s.in, cell.Pix)
+	e.code(s, 1)
+	writeHist(hist, e.infer(s), 0, 1)
+	scratchPool.Put(s)
 	return nil
 }
 
 // GridInto computes parrot histograms for every 8x8 cell of img into
 // g, reusing g's backing storage; each cell is evaluated with its
-// one-pixel border. One bordered patch is reused across cells and
-// histograms are written straight into the grid through
-// CellHistogramInto, so the only remaining allocations are inside
-// network inference; calls are NOT concurrency-safe when Stochastic
-// (the shared Rng serializes coding draws). The descriptor block plane
-// is prepared at the end so DescriptorInto serves windows from
-// pre-normalized copies.
+// one-pixel border, bit-identical to CellHistogram of its bordered
+// patch. Cells run eedn.Lanes at a time, in raster order, through the
+// inference kernel on pooled scratch, so a warm call allocates
+// nothing. Calls on distinct grids are concurrency-safe unless
+// Stochastic (the shared Rng serializes coding draws). The descriptor
+// block plane is prepared at the end so DescriptorInto serves windows
+// from pre-normalized copies.
 func (e *Extractor) GridInto(g *hog.Grid, img *imgproc.Image) {
 	const cs = 8
 	cx, cy := img.W/cs, img.H/cs
@@ -338,35 +462,63 @@ func (e *Extractor) GridInto(g *hog.Grid, img *imgproc.Image) {
 	if cx == 0 || cy == 0 {
 		return
 	}
-	patch := imgproc.New(CellSide, CellSide)
-	for j := 0; j < cy; j++ {
-		for i := 0; i < cx; i++ {
-			fillPatch(patch, img, i*cs-1, j*cs-1)
-			if err := e.CellHistogramInto(g.Hist(i, j), patch); err != nil {
-				// Unreachable: patch and grid dimensions are fixed.
-				//lint:allow errpanic fillPatch always yields CellSide patches and Reset sizes NBins histograms, so CellHistogramInto cannot fail here
-				panic(err)
-			}
-		}
+	s := e.getScratch(eedn.Lanes)
+	for c0 := 0; c0 < cx*cy; c0 += eedn.Lanes {
+		n := min(eedn.Lanes, cx*cy-c0)
+		gatherCells(s.in, img, cx, c0, n)
+		e.code(s, n)
+		e.emitCells(g, s, c0, n)
 	}
+	scratchPool.Put(s)
 	e.asm.PrepareBlocks(g)
 }
 
+// gatherCells loads the bordered patches of the n cells from raster
+// index c0 on, in an image cx cells wide, into lanes 0..n-1 of the
+// lane-interleaved patch plane dst. Spare lanes keep stale pixels;
+// their outputs are discarded.
+//
+//pcnn:hotpath
+func gatherCells(dst []float64, img *imgproc.Image, cx, c0, n int) {
+	const cs = 8
+	for l := 0; l < n; l++ {
+		c := c0 + l
+		fillPatch(dst, l, eedn.Lanes, img, (c%cx)*cs-1, (c/cx)*cs-1)
+	}
+}
+
+// emitCells runs the gathered (and, at window > 0, coded) lanes of s
+// through the network and writes the histograms of the n cells from
+// raster index c0 on into g.
+//
+//pcnn:hotpath
+func (e *Extractor) emitCells(g *hog.Grid, s *scratch, c0, n int) {
+	out := e.infer(s)
+	for l := 0; l < n; l++ {
+		c := c0 + l
+		writeHist(g.Hist(c%g.CellsX, c/g.CellsX), out, l, eedn.Lanes)
+	}
+}
+
 // fillPatch copies the CellSide x CellSide region of img at (x0, y0)
-// into dst with replicate padding, matching imgproc.SubImage. A region
-// inside img is copied row by row; only border patches read pixels
-// through the clamping At.
-func fillPatch(dst, img *imgproc.Image, x0, y0 int) {
+// into lane l of the lane-interleaved patch plane dst, with replicate
+// padding, matching imgproc.SubImage. A region inside img is copied
+// row by row; only border patches read pixels through the clamping At.
+func fillPatch(dst []float64, l, lanes int, img *imgproc.Image, x0, y0 int) {
 	if x0 >= 0 && y0 >= 0 && x0+CellSide <= img.W && y0+CellSide <= img.H {
 		for y := 0; y < CellSide; y++ {
-			copy(dst.Pix[y*CellSide:(y+1)*CellSide], img.Pix[(y0+y)*img.W+x0:])
+			src := img.Pix[(y0+y)*img.W+x0 : (y0+y)*img.W+x0+CellSide]
+			row := dst[y*CellSide*lanes : (y+1)*CellSide*lanes]
+			for x, v := range src {
+				row[x*lanes+l] = v
+			}
 		}
 		return
 	}
 	for y := 0; y < CellSide; y++ {
-		row := dst.Pix[y*CellSide : (y+1)*CellSide]
-		for x := range row {
-			row[x] = img.At(x0+x, y0+y)
+		row := dst[y*CellSide*lanes : (y+1)*CellSide*lanes]
+		for x := 0; x < CellSide; x++ {
+			row[x*lanes+l] = img.At(x0+x, y0+y)
 		}
 	}
 }
