@@ -30,8 +30,8 @@ fmt:
 	if [ -n "$$out" ]; then echo "gofmt -l reports unformatted files:"; echo "$$out"; exit 1; fi
 
 # race runs the whole tree under the race detector; the
-# concurrency-sensitive packages (telemetry registry, simulator,
-# data-parallel trainer) get their coverage from their own tests.
+# concurrency-sensitive packages (telemetry registry, simulator shards,
+# detection workers) get their coverage from their own tests.
 race:
 	$(GO) test -race ./...
 
@@ -70,10 +70,13 @@ perfbench-check:
 # imgproc.resizeRows, the detection level loop
 # detect.(*Sequence).runLevel and detect.NMSInto, and the simulator's
 # tick loops truenorth.(*Simulator).Step, (*Simulator).runShardTick,
-# (*Core).fire and (*Core).Integrate, then a SHA-256 of the binary's
-# sorted text-symbol table. Two trees that print the same lines link the
-# benchmark's code identically, so a benchmark difference between them
-# is not placement.
+# (*Core).fire and (*Core).Integrate, the runtime's hot data
+# runtime.mheap_, runtime.sched and runtime.semtable, then a SHA-256 of
+# the binary's sorted text-symbol table. Two trees that print the same
+# lines link the benchmark's code and that data identically, so a
+# benchmark difference between them is not placement. Compare trees
+# exported the same way: a build inside a git checkout stamps VCS
+# information into the binary, which moves the data.
 BENCH_BUILD = $(CURDIR)/.bench_build
 perfbench-layout:
 	@mkdir -p $(BENCH_BUILD)/gocache $(BENCH_BUILD)/gopath $(BENCH_BUILD)/tmp
@@ -93,7 +96,8 @@ perfbench-layout:
 			$$3 == "repro/internal/truenorth.(*Simulator).Step" || \
 			$$3 == "repro/internal/truenorth.(*Simulator).runShardTick" || \
 			$$3 == "repro/internal/truenorth.(*Core).fire" || \
-			$$3 == "repro/internal/truenorth.(*Core).Integrate" { print $$1, $$3 }' | \
+			$$3 == "repro/internal/truenorth.(*Core).Integrate" || \
+			$$3 == "runtime.mheap_" || $$3 == "runtime.sched" || $$3 == "runtime.semtable" { print $$1, $$3 }' | \
 		while read addr sym; do echo "$$sym 0x$$addr mod64=$$((0x$$addr % 64))"; done
 	@$(GO) tool nm $(BENCH_BUILD)/perfbench | awk '$$2 == "T" || $$2 == "t"' | sort | sha256sum | \
 		awk '{ print "text-symbols sha256 " $$1 }'

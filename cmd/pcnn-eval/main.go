@@ -33,10 +33,8 @@ func main() {
 	full := flag.Bool("full", false, "use the paper-protocol-sized configuration (slow)")
 	cells := flag.Int("hwcells", 200, "cells for the hardware/software validation")
 	workers := flag.Int("workers", 0, "detection scan workers (0 or 1 sequential; clamped to GOMAXPROCS; output is worker-count invariant; with -metrics, per-image busy/wall fractions land in the detect.worker_utilization histogram)")
-	shards := flag.Int("shards", 1, "shard each simulator's core graph across this many goroutines (bit-identical to -shards 1)")
 	tele.Register(flag.CommandLine)
 	flag.Parse()
-	experiments.SetSimulatorShards(*shards)
 	tele.MustStart()
 
 	cfg := experiments.Small()

@@ -6,6 +6,7 @@
 package detect
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -95,22 +96,27 @@ func DefaultConfig() Config {
 	}
 }
 
-// Validate reports configuration errors.
+// Validate reports configuration errors. The float checks are written
+// so that NaN fails them; ±Inf is a legal Threshold.
 func (c Config) Validate() error {
 	switch {
 	case c.CellSize <= 0 || c.WindowCellsX <= 0 || c.WindowCellsY <= 0:
 		return fmt.Errorf("detect: non-positive geometry")
-	case c.ScaleFactor <= 1:
+	case !(c.ScaleFactor > 1):
 		return fmt.Errorf("detect: scale factor %v must exceed 1", c.ScaleFactor)
 	case c.StrideCells <= 0:
 		return fmt.Errorf("detect: stride %d must be positive", c.StrideCells)
-	case c.NMSEpsilon < 0 || c.NMSEpsilon > 1:
+	case !(c.NMSEpsilon >= 0 && c.NMSEpsilon <= 1):
 		return fmt.Errorf("detect: NMS epsilon %v outside [0,1]", c.NMSEpsilon)
 	case c.Workers < 0:
 		return fmt.Errorf("detect: workers %d < 0", c.Workers)
+	case math.IsNaN(c.Threshold):
+		return errNaNThreshold
 	}
 	return nil
 }
+
+var errNaNThreshold = errors.New("detect: threshold is NaN")
 
 // Detector combines an extractor and a scorer under a Config. Use
 // NewDetector; a Detector must not be copied after first use (it owns

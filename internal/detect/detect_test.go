@@ -19,12 +19,22 @@ func TestConfigValidate(t *testing.T) {
 		func(c *Config) { c.ScaleFactor = 1 },
 		func(c *Config) { c.StrideCells = 0 },
 		func(c *Config) { c.NMSEpsilon = 1.5 },
+		func(c *Config) { c.ScaleFactor = math.NaN() },
+		func(c *Config) { c.Threshold = math.NaN() },
+		func(c *Config) { c.NMSEpsilon = math.NaN() },
 	}
 	for i, mut := range bad {
 		c := DefaultConfig()
 		mut(&c)
 		if err := c.Validate(); err == nil {
 			t.Errorf("case %d should be invalid", i)
+		}
+	}
+	for _, th := range []float64{math.Inf(1), math.Inf(-1)} {
+		c := DefaultConfig()
+		c.Threshold = th
+		if err := c.Validate(); err != nil {
+			t.Errorf("threshold %v rejected: %v", th, err)
 		}
 	}
 }

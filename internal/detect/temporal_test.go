@@ -72,7 +72,7 @@ func perFrameWant(t *testing.T, det *Detector, frames []dataset.Frame) [][]Detec
 }
 
 // descriptorLen returns the length of ext's window descriptor.
-func descriptorLen(t *testing.T, ext Extractor) int {
+func descriptorLen(t testing.TB, ext Extractor) int {
 	t.Helper()
 	var g hog.Grid
 	ext.GridInto(&g, imgproc.New(64, 128))
@@ -437,8 +437,11 @@ func fuzzFrame(rng *rand.Rand, w, h int) *imgproc.Image {
 // legacyDetectRaw, and the returned detections NMS of them.
 //
 // knobs picks the scorer kind (bit 0), StrideCells 1-2 (bit 1),
-// MaxLevels 0-3 (bits 2-3), Workers 1-4 (bits 4-5) and a threshold
-// that keeps every window or about half (bit 6). The first frame is
+// MaxLevels 0-3 (bits 2-3), Workers 1-4 (bits 4-5), a threshold
+// that keeps every window or about half (bit 6) and the extractor
+// (bit 7): the reference HoG when clear, else seed mod 3 picks
+// FPGA-HoG, NApprox-64 or the untrained parrot at window 0, as in
+// seqTestExtractors. The first frame is
 // w0 x h0 (each side mod 201, so 0-200 px: below one window, not a
 // multiple of 8). ops then adds a frame per 6 bytes [op, a, b, c, d,
 // e]; op%4 picks the frame:
@@ -455,13 +458,25 @@ func fuzzFrame(rng *rand.Rand, w, h int) *imgproc.Image {
 func FuzzSequenceMatchesPerFrame(f *testing.F) {
 	f.Add(uint8(168), uint8(176), uint8(120), uint8(136), uint8(0x01), int64(1),
 		[]byte{0, 40, 60, 20, 30, 200, 1 | 1<<2, 8, 0, 1, 0, 0, 2, 0, 0, 0, 0, 0})
+	paradigms := []string{"hog", "fpga", "napprox", "parrot"}
+	exts := seqTestExtractors(f)
 	dets := map[string]*Detector{}
-	for _, kind := range testScorers {
-		dets[kind] = scoredDetector(f, DefaultConfig(), kind)
+	for _, name := range paradigms {
+		for _, kind := range testScorers {
+			det, err := NewDetector(exts[name], newTestScorer(kind, 3, descriptorLen(f, exts[name])), DefaultConfig())
+			if err != nil {
+				f.Fatal(err)
+			}
+			dets[name+"/"+kind] = det
+		}
 	}
 	f.Fuzz(func(t *testing.T, w0, h0, w1, h1, knobs uint8, seed int64, ops []byte) {
 		withProcs(t, 4)
-		det := dets[testScorers[knobs&1]]
+		paradigm := paradigms[0]
+		if knobs&0x80 != 0 {
+			paradigm = paradigms[1+uint64(seed)%3]
+		}
+		det := dets[paradigm+"/"+testScorers[knobs&1]]
 		cfg := DefaultConfig()
 		cfg.StrideCells = 1 + int(knobs>>1&1)
 		cfg.MaxLevels = int(knobs >> 2 & 3)
@@ -534,12 +549,12 @@ func FuzzSequenceMatchesPerFrame(f *testing.F) {
 			got := seq.NextPanned(img, hx, hy)
 			want := legacyDetectRaw(det, img)
 			if !sameDets(seq.raw, want) {
-				t.Fatalf("frame %d (%dx%d, hint %d,%d, %+v): raw candidates diverge from the per-window oracle (%d vs %d)",
-					i, img.W, img.H, hx, hy, cfg, len(seq.raw), len(want))
+				t.Fatalf("%s frame %d (%dx%d, hint %d,%d, %+v): raw candidates diverge from the per-window oracle (%d vs %d)",
+					paradigm, i, img.W, img.H, hx, hy, cfg, len(seq.raw), len(want))
 			}
 			if kept := NMS(want, cfg.NMSEpsilon); !sameDets(got, kept) {
-				t.Fatalf("frame %d (%dx%d, hint %d,%d, %+v): detections diverge from NMS of the oracle (%d vs %d)",
-					i, img.W, img.H, hx, hy, cfg, len(got), len(kept))
+				t.Fatalf("%s frame %d (%dx%d, hint %d,%d, %+v): detections diverge from NMS of the oracle (%d vs %d)",
+					paradigm, i, img.W, img.H, hx, hy, cfg, len(got), len(kept))
 			}
 			if i+1 >= maxFrames || len(ops) < 6 {
 				break

@@ -244,19 +244,6 @@ func TestInferSpikingApproachesFullPrecision(t *testing.T) {
 	}
 }
 
-func TestNonzeroFraction(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	d := NewDense(4, 1, rng)
-	copy(d.Hidden, []float64{0.9, -0.9, 0.1, 0})
-	if got := d.NonzeroFraction(); got != 0.5 {
-		t.Errorf("NonzeroFraction = %v, want 0.5", got)
-	}
-	w := d.TrinaryWeights()
-	if w[0] != 1 || w[1] != -1 || w[2] != 0 || w[3] != 0 {
-		t.Errorf("TrinaryWeights = %v", w)
-	}
-}
-
 func TestConv2DShapes(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	c, err := NewConv2D(2, 16, 12, 4, 3, 1, 2, rng)

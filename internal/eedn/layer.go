@@ -72,8 +72,7 @@ type Dense struct {
 	// synapse rows NewDense derives from it, which Update refreshes
 	// wherever it moves a weight across the dead-zone edge. Only
 	// NewDense and Update write Hidden; a direct write leaves the rows
-	// stale. TrainParallel replicas share both Hidden and the rows with
-	// their master.
+	// stale.
 	Hidden []float64
 	// Bias holds per-neuron biases (negated firing thresholds).
 	Bias []float64
@@ -85,9 +84,8 @@ type Dense struct {
 
 	// deployed publishes the synapse rows derived from Hidden. It is
 	// atomic because DetectStream runs parrot inference on several
-	// goroutines while parrot.Train's probe shares a training network,
-	// and a pointer so TrainParallel replicas share it.
-	deployed *atomic.Pointer[synapseRows]
+	// goroutines while parrot.Train's probe shares a training network.
+	deployed atomic.Pointer[synapseRows]
 
 	// training state
 	vel     []float64 // momentum for weights
@@ -114,8 +112,6 @@ func NewDense(in, out int, rng *rand.Rand) *Dense {
 		velB:   make([]float64, out),
 		gradW:  make([]float64, in*out),
 		gradB:  make([]float64, out),
-
-		deployed: new(atomic.Pointer[synapseRows]),
 	}
 	for i := range d.Hidden {
 		d.Hidden[i] = (rng.Float64()*2 - 1) * 0.8
@@ -343,26 +339,4 @@ func (d *Dense) Update(lr, momentum float64, batch int) {
 	if next != nil {
 		d.deployed.Store(&next)
 	}
-}
-
-// TrinaryWeights returns the deployed weight matrix (Out x In row
-// major) of trinary values.
-func (d *Dense) TrinaryWeights() []float64 {
-	w := make([]float64, len(d.Hidden))
-	for i, h := range d.Hidden {
-		w[i] = Trinarize(h)
-	}
-	return w
-}
-
-// NonzeroFraction reports the fraction of deployed weights that are
-// nonzero, a proxy for synapse utilization.
-func (d *Dense) NonzeroFraction() float64 {
-	n := 0
-	for _, h := range d.Hidden {
-		if Trinarize(h) != 0 {
-			n++
-		}
-	}
-	return float64(n) / float64(len(d.Hidden))
 }

@@ -1,15 +1,14 @@
 package eedn
 
 import (
-	"math"
 	"math/rand"
 	"runtime"
 	"testing"
 )
 
-// withProcs raises GOMAXPROCS to at least n for the test, so the
-// replica/merge path is exercised even on single-CPU machines now
-// that TrainParallel clamps its worker count to GOMAXPROCS(0).
+// withProcs raises GOMAXPROCS to at least n for the test, so
+// goroutines a test starts run at the same time even on single-CPU
+// machines.
 func withProcs(t *testing.T, n int) {
 	t.Helper()
 	prev := runtime.GOMAXPROCS(0)
@@ -43,105 +42,6 @@ func parallelTask(n int, seed int64) (xs, ys [][]float64) {
 	return xs, ys
 }
 
-func TestTrainParallelLearns(t *testing.T) {
-	withProcs(t, 4)
-	rng := rand.New(rand.NewSource(7))
-	net, err := NewClassifierNet(16, 32, 1, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	xs, ys := parallelTask(240, 3)
-	cfg := DefaultTrainConfig()
-	cfg.Loss = LossHinge
-	cfg.Epochs = 30
-	if _, err := net.TrainParallel(xs, ys, cfg, 4); err != nil {
-		t.Fatal(err)
-	}
-	correct := 0
-	for i := range xs {
-		if (net.Forward(xs[i])[0] >= 0) == (ys[i][0] > 0) {
-			correct++
-		}
-	}
-	if acc := float64(correct) / float64(len(xs)); acc < 0.9 {
-		t.Errorf("parallel training accuracy = %v, want >= 0.9", acc)
-	}
-}
-
-func TestTrainParallelDeterministicPerWorkerCount(t *testing.T) {
-	withProcs(t, 3)
-	build := func() *Network {
-		rng := rand.New(rand.NewSource(7))
-		net, _ := NewClassifierNet(16, 16, 1, rng)
-		return net
-	}
-	xs, ys := parallelTask(64, 5)
-	cfg := DefaultTrainConfig()
-	cfg.Loss = LossHinge
-	cfg.Epochs = 5
-	run := func(workers int) []float64 {
-		net := build()
-		if _, err := net.TrainParallel(xs, ys, cfg, workers); err != nil {
-			t.Fatal(err)
-		}
-		return net.Layers[0].(*Dense).Hidden
-	}
-	a, b := run(3), run(3)
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatal("same worker count diverged across runs")
-		}
-	}
-}
-
-func TestTrainParallelMatchesSerialQuality(t *testing.T) {
-	withProcs(t, 4)
-	xs, ys := parallelTask(200, 9)
-	cfg := DefaultTrainConfig()
-	cfg.Loss = LossHinge
-	cfg.Epochs = 20
-	accOf := func(workers int) float64 {
-		rng := rand.New(rand.NewSource(11))
-		net, _ := NewClassifierNet(16, 32, 1, rng)
-		var err error
-		if workers <= 1 {
-			_, err = net.Train(xs, ys, cfg)
-		} else {
-			_, err = net.TrainParallel(xs, ys, cfg, workers)
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		correct := 0
-		for i := range xs {
-			if (net.Forward(xs[i])[0] >= 0) == (ys[i][0] > 0) {
-				correct++
-			}
-		}
-		return float64(correct) / float64(len(xs))
-	}
-	serial, par := accOf(1), accOf(4)
-	if math.Abs(serial-par) > 0.15 {
-		t.Errorf("parallel quality diverged: serial=%v parallel=%v", serial, par)
-	}
-}
-
-func TestTrainParallelFallbackAndErrors(t *testing.T) {
-	withProcs(t, 4)
-	rng := rand.New(rand.NewSource(1))
-	net, _ := NewClassifierNet(4, 8, 1, rng)
-	xs, ys := parallelTask(8, 1)
-	_ = xs
-	_ = ys
-	// workers <= 1 falls back to Train, which validates dims.
-	if _, err := net.TrainParallel(nil, nil, DefaultTrainConfig(), 1); err == nil {
-		t.Error("empty set should error via fallback")
-	}
-	if _, err := net.TrainParallel([][]float64{{1}}, [][]float64{{1}}, DefaultTrainConfig(), 4); err == nil {
-		t.Error("bad dims should error")
-	}
-}
-
 func BenchmarkTrainSerialWide(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	net, _ := NewClassifierNet(1024, 128, 1, rng)
@@ -162,28 +62,5 @@ func BenchmarkTrainSerialWide(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_, _ = net.Train(xs, ys, cfg)
-	}
-}
-
-func BenchmarkTrainParallel4Wide(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	net, _ := NewClassifierNet(1024, 128, 1, rng)
-	xs := make([][]float64, 64)
-	ys := make([][]float64, 64)
-	for i := range xs {
-		x := make([]float64, 1024)
-		for j := range x {
-			x[j] = rng.Float64()
-		}
-		xs[i] = x
-		ys[i] = []float64{float64(2*(i%2) - 1)}
-	}
-	cfg := DefaultTrainConfig()
-	cfg.Epochs = 1
-	cfg.BatchSize = 64
-	cfg.Loss = LossHinge
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_, _ = net.TrainParallel(xs, ys, cfg, 4)
 	}
 }

@@ -38,25 +38,6 @@ import (
 	"repro/internal/truenorth"
 )
 
-// simShards selects the sharded execution mode for every experiment
-// simulator: the core graph is split across simShards worker
-// goroutines. Sharded execution is bit-identical to single-goroutine
-// execution, so this only affects speed; cmd/pcnn-eval exposes it as
-// -shards.
-var simShards = 1
-
-// SetSimulatorShards switches the shard count used by subsequent
-// experiment runs (process-wide; not safe to flip concurrently with a
-// running experiment). n <= 1 restores the default single-goroutine
-// mode.
-func SetSimulatorShards(n int) { simShards = n }
-
-// newSimulator builds a simulator with the configured shard count.
-// Callers should defer sim.Close() to join shard workers.
-func newSimulator(m *truenorth.Model, seed int64) (*truenorth.Simulator, error) {
-	return truenorth.NewSimulator(m, seed, truenorth.WithShards(simShards))
-}
-
 // Config sizes an experiment run.
 type Config struct {
 	Seed int64
@@ -184,7 +165,7 @@ func publishCoreletActivity(cells int, seed int64) {
 	if err != nil {
 		return
 	}
-	sim, err := newSimulator(mod.Model, 1)
+	sim, err := truenorth.NewSimulator(mod.Model, 1)
 	if err != nil {
 		return
 	}
@@ -480,7 +461,7 @@ func HWValidation(n int, seed int64) (*HWValidationResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	sim, err := newSimulator(mod.Model, 1)
+	sim, err := truenorth.NewSimulator(mod.Model, 1)
 	if err != nil {
 		return nil, err
 	}
@@ -567,9 +548,6 @@ func Throughputs() ([]ThroughputRow, error) {
 	return out, nil
 }
 
-// ErrUnknownFigure reports an unrecognized experiment id.
-var ErrUnknownFigure = fmt.Errorf("experiments: unknown figure")
-
 // EnergyResult compares the paper's static (chip-count) power model
 // with an activity-based dynamic-energy estimate measured on the
 // simulator — an extension beyond Table 2's methodology.
@@ -592,7 +570,7 @@ func EnergyStudy(n int, seed int64) (*EnergyResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	sim, err := newSimulator(mod.Model, 1)
+	sim, err := truenorth.NewSimulator(mod.Model, 1)
 	if err != nil {
 		return nil, err
 	}

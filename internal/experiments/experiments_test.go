@@ -167,8 +167,8 @@ func TestFig5SmallShapes(t *testing.T) {
 	if raceEnabled {
 		// ~140s without instrumentation; the race detector's slowdown
 		// pushes it past any reasonable package timeout, and its
-		// concurrency (TrainParallel, the parallel detector) runs under
-		// race via the eedn and detect suites.
+		// concurrency (the parallel detector, the shared parrot rows)
+		// runs under race via the detect and eedn suites.
 		t.Skip("too slow under the race detector")
 	}
 	cfg := tiny()

@@ -65,48 +65,6 @@ func (g *Grid) SpliceCols(src *Grid, srcOff, c0, c1 int) {
 	g.blocks.valid = false
 }
 
-// BlockRowsFor returns the half-open block-row range affected by dirty
-// cell rows [r0, r1): a block row by reads cell rows [by, by+bc), so
-// the affected blocks are by in [r0-bc+1, r1), clipped to the plane.
-// The same arithmetic applies to columns. Returns (0, 0) when no plane
-// is valid.
-func (g *Grid) BlockRowsFor(r0, r1 int) (b0, b1 int) {
-	if !g.blocks.valid {
-		return 0, 0
-	}
-	b0 = r0 - g.blocks.blockCells + 1
-	if b0 < 0 {
-		b0 = 0
-	}
-	b1 = r1
-	if b1 > g.blocks.nby {
-		b1 = g.blocks.nby
-	}
-	if b0 > b1 {
-		b0 = b1
-	}
-	return b0, b1
-}
-
-// BlockColsFor is BlockRowsFor over the column axis.
-func (g *Grid) BlockColsFor(c0, c1 int) (b0, b1 int) {
-	if !g.blocks.valid {
-		return 0, 0
-	}
-	b0 = c0 - g.blocks.blockCells + 1
-	if b0 < 0 {
-		b0 = 0
-	}
-	b1 = c1
-	if b1 > g.blocks.nbx {
-		b1 = g.blocks.nbx
-	}
-	if b0 > b1 {
-		b0 = b1
-	}
-	return b0, b1
-}
-
 // RebuildBlockRange rebuilds block plane entries for block rows
 // [br0, br1) x block columns [bc0, bc1) from the current cell Data,
 // using the key the plane was originally built under, and marks the

@@ -9,7 +9,6 @@
 package imgproc
 
 import (
-	"errors"
 	"fmt"
 	"math"
 )
@@ -28,15 +27,6 @@ func New(w, h int) *Image {
 		panic(fmt.Sprintf("imgproc: negative dimensions %dx%d", w, h))
 	}
 	return &Image{W: w, H: h, Pix: make([]float64, w*h)}
-}
-
-// FromSlice wraps pix (row-major, length w*h) as an Image without
-// copying. It returns an error if the length does not match.
-func FromSlice(w, h int, pix []float64) (*Image, error) {
-	if len(pix) != w*h {
-		return nil, fmt.Errorf("imgproc: pixel slice length %d != %d*%d", len(pix), w, h)
-	}
-	return &Image{W: w, H: h, Pix: pix}, nil
 }
 
 // At returns the pixel at (x, y). Coordinates outside the image are
@@ -298,30 +288,3 @@ func BoxBlur(m *Image, r int) {
 		}
 	}
 }
-
-// Integral computes the summed-area table of m with an extra zero row
-// and column: S has dimensions (W+1)×(H+1) and
-// S[y][x] = sum of pixels in [0,x)×[0,y).
-func Integral(m *Image) [][]float64 {
-	s := make([][]float64, m.H+1)
-	for y := range s {
-		s[y] = make([]float64, m.W+1)
-	}
-	for y := 1; y <= m.H; y++ {
-		rowSum := 0.0
-		for x := 1; x <= m.W; x++ {
-			rowSum += m.Pix[(y-1)*m.W+(x-1)]
-			s[y][x] = s[y-1][x] + rowSum
-		}
-	}
-	return s
-}
-
-// BoxSum returns the sum of pixels in the rectangle [x0,x1)×[y0,y1)
-// using an integral image produced by Integral.
-func BoxSum(s [][]float64, x0, y0, x1, y1 int) float64 {
-	return s[y1][x1] - s[y0][x1] - s[y1][x0] + s[y0][x0]
-}
-
-// ErrBadDimensions reports invalid geometry arguments.
-var ErrBadDimensions = errors.New("imgproc: bad dimensions")

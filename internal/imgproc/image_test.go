@@ -5,7 +5,6 @@ import (
 	"math"
 	"reflect"
 	"testing"
-	"testing/quick"
 )
 
 func TestNewAndSetGet(t *testing.T) {
@@ -35,16 +34,6 @@ func TestNewNegativePanics(t *testing.T) {
 		}
 	}()
 	New(-1, 2)
-}
-
-func TestFromSlice(t *testing.T) {
-	if _, err := FromSlice(2, 2, []float64{1, 2, 3}); err == nil {
-		t.Error("length mismatch should error")
-	}
-	m, err := FromSlice(2, 2, []float64{1, 2, 3, 4})
-	if err != nil || m.At(1, 1) != 4 {
-		t.Errorf("FromSlice: %v %v", m, err)
-	}
 }
 
 func TestCloneIndependence(t *testing.T) {
@@ -241,56 +230,6 @@ func TestPyramidBadFactorPanics(t *testing.T) {
 		}
 	}()
 	Pyramid(New(8, 8), 1.0, 1, 1, 0)
-}
-
-func TestIntegralBoxSum(t *testing.T) {
-	m := New(4, 3)
-	for i := range m.Pix {
-		m.Pix[i] = 1
-	}
-	s := Integral(m)
-	if got := BoxSum(s, 0, 0, 4, 3); got != 12 {
-		t.Errorf("full box sum = %v, want 12", got)
-	}
-	if got := BoxSum(s, 1, 1, 3, 2); got != 2 {
-		t.Errorf("inner box sum = %v, want 2", got)
-	}
-	if got := BoxSum(s, 2, 2, 2, 2); got != 0 {
-		t.Errorf("empty box sum = %v, want 0", got)
-	}
-}
-
-func TestIntegralMatchesBruteForce(t *testing.T) {
-	f := func(seed uint8) bool {
-		m := New(7, 5)
-		s := uint64(seed) + 3
-		for i := range m.Pix {
-			s = s*2862933555777941757 + 3037000493
-			m.Pix[i] = float64(s%100) / 100
-		}
-		tab := Integral(m)
-		for y0 := 0; y0 <= 5; y0++ {
-			for x0 := 0; x0 <= 7; x0++ {
-				for y1 := y0; y1 <= 5; y1++ {
-					for x1 := x0; x1 <= 7; x1++ {
-						var want float64
-						for y := y0; y < y1; y++ {
-							for x := x0; x < x1; x++ {
-								want += m.Pix[y*7+x]
-							}
-						}
-						if math.Abs(BoxSum(tab, x0, y0, x1, y1)-want) > 1e-9 {
-							return false
-						}
-					}
-				}
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 10}); err != nil {
-		t.Error(err)
-	}
 }
 
 func TestPGMRoundTrip(t *testing.T) {

@@ -26,21 +26,21 @@ func gridIntoLegacyCells(e *Extractor, g *hog.Grid, img *imgproc.Image) {
 
 // TestArgmaxKernelMatchesVoteCell is the blocked-kernel differential
 // across both argmax flavors — quantized (LUT-driven) and full
-// precision (inline projection scan) — plus the threshold mode that
-// stays on the per-cell path, over odd image sizes and fuzzed pixels.
+// precision (inline projection scan) — plus the race mode that stays
+// on the per-cell path, over odd image sizes and fuzzed pixels.
 // Each size also runs with NaN pixels planted at the corners and
 // through the interior, and as an all-NaN image: a gradient with a NaN
 // component votes nothing on either path.
 func TestArgmaxKernelMatchesVoteCell(t *testing.T) {
 	tn := TrueNorthConfig()
-	thr := tn
-	thr.Mode = VoteThreshold
+	race := tn
+	race.Mode = VoteRace
 	smallWindow := tn
 	smallWindow.SpikeWindow = 4
 	cfgs := map[string]Config{
 		"truenorth-lut": tn,
 		"fp-inline":     FullPrecision(),
-		"threshold":     thr,
+		"race":          race,
 		"small-window":  smallWindow,
 	}
 	rng := rand.New(rand.NewSource(11))

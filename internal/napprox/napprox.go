@@ -22,10 +22,8 @@
 //
 // The software model supports two vote semantics. VoteArgmax is the
 // literal Table 1 computation (each pixel votes its single dominant
-// direction). VoteThreshold votes every direction whose projection
-// reaches the threshold, capped at one vote per bin per pixel; it is
-// the semantics the spiking corelet computes natively and is used for
-// the hardware/software validation.
+// direction). VoteRace models the first-spike race the spiking corelet
+// computes and is used for the hardware/software validation.
 package napprox
 
 import (
@@ -43,9 +41,6 @@ type VoteMode int
 const (
 	// VoteArgmax votes only the direction of maximum projection.
 	VoteArgmax VoteMode = iota
-	// VoteThreshold votes every direction whose projection meets the
-	// threshold (at most once per bin per pixel).
-	VoteThreshold
 	// VoteRace analytically models the spiking first-spike-race
 	// winner-take-all the hardware corelet implements: the bin whose
 	// projection crosses the race threshold first wins, and bins whose
@@ -74,8 +69,6 @@ func (v VoteMode) String() string {
 	switch v {
 	case VoteArgmax:
 		return "argmax"
-	case VoteThreshold:
-		return "threshold"
 	case VoteRace:
 		return "race"
 	default:
@@ -103,7 +96,7 @@ type Config struct {
 	// precision the unit is (pixel value x exact weights). Pixels whose
 	// dominant projection is below it are treated as flat.
 	VoteThreshold float64
-	// Mode selects argmax or threshold voting.
+	// Mode selects argmax or race voting.
 	Mode VoteMode
 }
 
@@ -154,7 +147,7 @@ func (c Config) Validate() error {
 		return fmt.Errorf("napprox: WeightScale %d < 0", c.WeightScale)
 	case c.VoteThreshold < 0:
 		return fmt.Errorf("napprox: VoteThreshold %v < 0", c.VoteThreshold)
-	case c.Mode != VoteArgmax && c.Mode != VoteThreshold && c.Mode != VoteRace:
+	case c.Mode != VoteArgmax && c.Mode != VoteRace:
 		return fmt.Errorf("napprox: unknown vote mode %d", int(c.Mode))
 	}
 	return nil
@@ -303,20 +296,9 @@ func (e *Extractor) voteCell(img *imgproc.Image, x0, y0 int, hist []float64) {
 // pixel given its four neighbor values (right, left, up, down) in the
 // working representation.
 func (e *Extractor) votePixel(r, l, u, d float64, hist []float64) {
-	ix, iy := r-l, u-d
 	switch e.cfg.Mode {
 	case VoteArgmax:
-		e.argmaxVote(ix, iy, hist)
-	case VoteThreshold:
-		th := e.cfg.VoteThreshold
-		if th <= 0 {
-			th = math.SmallestNonzeroFloat64
-		}
-		for k := 0; k < e.cfg.NBins; k++ {
-			if e.a[k]*ix+e.b[k]*iy >= th {
-				hist[k]++
-			}
-		}
+		e.argmaxVote(r-l, u-d, hist)
 	case VoteRace:
 		e.raceVote(r, l, u, d, hist)
 	}
@@ -443,8 +425,8 @@ func (e *Extractor) CellHistogramInto(hist []float64, cell *imgproc.Image) error
 // for every neighbor role, up to four times), then cells accumulate
 // from the plane — through the precomputed argmax LUT in the quantized
 // configurations, or the inline projection scan at full precision.
-// Values are bit-identical to the per-pixel voteCell path, which the
-// other vote modes still use. The descriptor block plane is prepared
+// Values are bit-identical to the per-pixel voteCell path, which
+// VoteRace still uses. The descriptor block plane is prepared
 // at the end so DescriptorInto serves windows from contiguous
 // pre-normalized copies.
 func (e *Extractor) GridInto(g *hog.Grid, img *imgproc.Image) {

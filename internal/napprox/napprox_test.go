@@ -47,7 +47,7 @@ func TestConfigValidate(t *testing.T) {
 			t.Errorf("case %d should be invalid", i)
 		}
 	}
-	if VoteArgmax.String() != "argmax" || VoteThreshold.String() != "threshold" {
+	if VoteArgmax.String() != "argmax" || VoteRace.String() != "race" {
 		t.Error("vote mode stringers")
 	}
 	if VoteMode(7).String() == "" {
@@ -186,30 +186,6 @@ func TestCellHistogramSizeErrors(t *testing.T) {
 	e := mustNew(t, TrueNorthConfig(), hog.NormNone)
 	if _, err := e.CellHistogram(imgproc.New(8, 8)); err == nil {
 		t.Error("8x8 cell should error")
-	}
-}
-
-func TestThresholdModeSpreadsVotes(t *testing.T) {
-	cfg := TrueNorthConfig()
-	cfg.Mode = VoteThreshold
-	e := mustNew(t, cfg, hog.NormNone)
-	h, err := e.CellHistogram(rampCell(0, 0.2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	// A strong gradient crosses threshold in several adjacent bins.
-	nonzero := 0
-	for _, v := range h {
-		if v > 0 {
-			nonzero++
-		}
-	}
-	if nonzero < 2 {
-		t.Errorf("threshold mode voted in %d bins, expected spread: %v", nonzero, h)
-	}
-	// Peak still at the gradient direction.
-	if got := stats.ArgMax(h); got != 0 {
-		t.Errorf("threshold mode peak bin %d, want 0: %v", got, h)
 	}
 }
 

@@ -26,23 +26,6 @@ func Mean(xs []float64) float64 {
 	return s / float64(len(xs))
 }
 
-// Variance returns the population variance of xs.
-func Variance(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	m := Mean(xs)
-	var s float64
-	for _, x := range xs {
-		d := x - m
-		s += d * d
-	}
-	return s / float64(len(xs))
-}
-
-// StdDev returns the population standard deviation of xs.
-func StdDev(xs []float64) float64 { return math.Sqrt(Variance(xs)) }
-
 // Pearson returns the Pearson correlation coefficient between x and y.
 // It returns an error if the lengths differ or either series is constant
 // (correlation undefined).
@@ -65,24 +48,6 @@ func Pearson(x, y []float64) (float64, error) {
 		return 0, errors.New("stats: constant series")
 	}
 	return sxy / math.Sqrt(sxx*syy), nil
-}
-
-// Cosine returns the cosine similarity between x and y, or an error on
-// length mismatch or zero vectors.
-func Cosine(x, y []float64) (float64, error) {
-	if len(x) != len(y) {
-		return 0, ErrLengthMismatch
-	}
-	var dot, nx, ny float64
-	for i := range x {
-		dot += x[i] * y[i]
-		nx += x[i] * x[i]
-		ny += y[i] * y[i]
-	}
-	if nx == 0 || ny == 0 {
-		return 0, errors.New("stats: zero vector")
-	}
-	return dot / math.Sqrt(nx*ny), nil
 }
 
 // MSE returns the mean squared error between x and y.
@@ -169,17 +134,6 @@ func LogAvgMissRate(c *Curve, lo, hi float64, n int) float64 {
 		sum += math.Log(mr)
 	}
 	return math.Exp(sum / float64(n))
-}
-
-// AUC returns the area under the curve by trapezoidal rule on the
-// points as given (sorted by X assumed).
-func AUC(c *Curve) float64 {
-	var a float64
-	for i := 1; i < len(c.Points); i++ {
-		p0, p1 := c.Points[i-1], c.Points[i]
-		a += (p1.X - p0.X) * (p0.Y + p1.Y) / 2
-	}
-	return a
 }
 
 // Histogram counts xs into nbins equal-width bins over [lo, hi). Values

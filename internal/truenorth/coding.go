@@ -1,14 +1,12 @@
 package truenorth
 
-import "math/rand"
-
 // The paper's designs exchange values as spike counts over a coding
 // window: an N-spike representation carries a value in [0, 1] as the
 // number of spikes observed in N ticks (Sec. 5.2: 64-spike for
-// NApprox, 32/4/1-spike options for Parrot). Two encoders are
-// provided: a deterministic rate code with evenly spaced spikes, and
-// the stochastic code the Parrot design uses, where each tick spikes
-// independently with probability proportional to the value.
+// NApprox, 32/4/1-spike options for Parrot). RateEncode is the
+// deterministic rate code with evenly spaced spikes that feeds the
+// NApprox corelet and its VoteRace software model; the Parrot
+// extractor draws its stochastic code itself.
 
 // RateEncode returns a deterministic spike train of length window for
 // a value v in [0, 1]: round(v*window) spikes spaced as evenly as
@@ -38,61 +36,6 @@ func RateEncode(v float64, window int) []bool {
 		}
 	}
 	return train
-}
-
-// StochasticEncode returns a spike train of length window where each
-// tick spikes independently with probability v (clamped to [0, 1]).
-// This is the coding the Parrot HoG front end consumes: "stochastic
-// input signals ... 1-spike with the probability proportional to the
-// value" (Sec. 1).
-func StochasticEncode(v float64, window int, rng *rand.Rand) []bool {
-	if window <= 0 {
-		return nil
-	}
-	if v < 0 {
-		v = 0
-	}
-	if v > 1 {
-		v = 1
-	}
-	train := make([]bool, window)
-	for t := range train {
-		train[t] = rng.Float64() < v
-	}
-	return train
-}
-
-// DecodeCount converts a spike train back to a value in [0, 1] as the
-// fraction of ticks that spiked.
-func DecodeCount(train []bool) float64 {
-	if len(train) == 0 {
-		return 0
-	}
-	n := 0
-	for _, s := range train {
-		if s {
-			n++
-		}
-	}
-	return float64(n) / float64(len(train))
-}
-
-// QuantizeToSpikes rounds v in [0,1] to the nearest representable
-// value of an N-spike code, i.e. k/window for integer k. This is the
-// quantization a value suffers crossing an N-spike link regardless of
-// encoder.
-func QuantizeToSpikes(v float64, window int) float64 {
-	if window <= 0 {
-		return 0
-	}
-	if v < 0 {
-		v = 0
-	}
-	if v > 1 {
-		v = 1
-	}
-	k := int(v*float64(window) + 0.5)
-	return float64(k) / float64(window)
 }
 
 // SpikeBits returns the effective bit resolution of an N-spike code:

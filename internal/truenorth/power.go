@@ -2,9 +2,9 @@ package truenorth
 
 // Power constants from the paper (Sec. 2.2): a TrueNorth chip of 4096
 // cores consumes 66 mW at 0.8 V, i.e. about 16 uW per core. The
-// paper's Table 2 derives system power from chip counts, so the model
-// here charges whole chips, with an optional per-core refinement for
-// partially used chips.
+// paper's Table 2 derives system power from chip counts, which
+// internal/power charges as whole chips; the per-core share prices a
+// design that occupies part of a chip.
 
 // WattsPerChip is the measured power of one fully active TrueNorth
 // chip (66 mW for 4096 cores at 0.8 V).
@@ -12,19 +12,6 @@ const WattsPerChip = 0.066
 
 // WattsPerCore is the per-core share of chip power (~16.1 uW).
 const WattsPerCore = WattsPerChip / ChipCores
-
-// ChipPower returns the power in watts of nChips TrueNorth chips.
-func ChipPower(nChips int) float64 { return float64(nChips) * WattsPerChip }
-
-// CorePower returns the power in watts of nCores active cores, the
-// fine-grained estimate used when a design occupies a fraction of a
-// chip.
-func CorePower(nCores int) float64 { return float64(nCores) * WattsPerCore }
-
-// ModelPower returns the whole-chip power estimate for a model, the
-// convention Table 2 uses ("~650 TrueNorth chips" -> 650 x 66 mW
-// ~= 40 W plus I/O overhead folded into the chip figure).
-func ModelPower(m *Model) float64 { return ChipPower(m.Chips()) }
 
 // EnergyStats summarizes activity-based energy from a simulation run,
 // for analyses beyond the paper's static chip-count model.
