@@ -7,7 +7,7 @@ GO ?= go
 .PHONY: build test check fmt vet race lint perfbench-check perfbench-layout bench bench-obs bench-sim bench-detect bench-gate fuzz clean
 
 # FUZZTIME bounds each fuzz target's smoke run (the committed seed
-# corpora under internal/{truenorth,eedn,imgproc,hog,detect,parrot}/testdata/fuzz
+# corpora under internal/{truenorth,eedn,imgproc,hog,detect,parrot,svm}/testdata/fuzz
 # always run as plain tests; this is extra mutation time).
 FUZZTIME ?= 15s
 
@@ -23,10 +23,12 @@ vet:
 # fmt fails when gofmt would reformat any tracked .go file. Files under
 # testdata/ are fixtures whose line numbers golden files pin (the
 # directives fixture is deliberately not gofmt-clean), so they are left
-# out.
+# out. It needs a git checkout to list the tracked files, and fails
+# outside one rather than check nothing.
 GOFMT ?= gofmt
 fmt:
-	@out=$$(git ls-files '*.go' | grep -v -e '^testdata/' -e '/testdata/' | xargs $(GOFMT) -l); \
+	@files=$$(git ls-files '*.go') || { echo "make fmt: git ls-files failed; run it in a git checkout"; exit 1; }; \
+	out=$$(echo "$$files" | grep -v -e '^testdata/' -e '/testdata/' | xargs $(GOFMT) -l) || { echo "make fmt: gofmt failed"; exit 1; }; \
 	if [ -n "$$out" ]; then echo "gofmt -l reports unformatted files:"; echo "$$out"; exit 1; fi
 
 # race runs the whole tree under the race detector; the
@@ -59,12 +61,15 @@ perfbench-check:
 # perfbench-layout builds the benchmark binary exactly as
 # perfbench/run.sh does and prints where the linker placed the hot
 # loops whose speed may depend on their 64-byte alignment (ROADMAP item
-# 1): address and address mod 64 of eedn.(*Dense).preact (training
-# only since the inference kernel), the kernel's
-# eedn.(*Network).run and its lane loops eedn.floatLanes,
-# eedn.spikeLanes, eedn.floatLane and eedn.spikeLane, the parrot cell
-# loop's bodies parrot.gatherCells and parrot.(*Extractor).emitCells,
-# svm.(*Model).Score, the block-plane SVM kernel
+# 1): address and address mod 64 of each of these that is linked and
+# not inlined: eedn.(*Dense).preact (behind Dense.Forward only), the
+# kernel's eedn.(*Network).run and its lane loops eedn.floatLanes,
+# eedn.spikeLanes, eedn.floatLane and eedn.spikeLane, the lane
+# trainer's eedn.(*Dense).trainForward, eedn.(*Dense).trainBackward
+# and eedn.accumulateLanes, the parrot cell loop's bodies
+# parrot.gatherCells and parrot.(*Extractor).emitCells,
+# svm.(*Model).Score, svm.Train and their in-order kernels svm.dot and
+# svm.axpy, the block-plane SVM kernel
 # hog.(*Extractor).LinearScoresInto, the FPGA-HoG cell pass
 # hog.(*FPGAExtractor).fixedCellPass, the bilinear pyramid kernel
 # imgproc.resizeRows, the detection level loop
@@ -88,6 +93,9 @@ perfbench-layout:
 			$$3 == "repro/internal/eedn.(*Network).run" || \
 			$$3 == "repro/internal/eedn.floatLanes" || $$3 == "repro/internal/eedn.spikeLanes" || \
 			$$3 == "repro/internal/eedn.floatLane" || $$3 == "repro/internal/eedn.spikeLane" || \
+			$$3 == "repro/internal/eedn.(*Dense).trainForward" || $$3 == "repro/internal/eedn.(*Dense).trainBackward" || \
+			$$3 == "repro/internal/eedn.accumulateLanes" || \
+			$$3 == "repro/internal/svm.Train" || $$3 == "repro/internal/svm.dot" || $$3 == "repro/internal/svm.axpy" || \
 			$$3 == "repro/internal/parrot.gatherCells" || $$3 == "repro/internal/parrot.(*Extractor).emitCells" || \
 			$$3 == "repro/internal/hog.(*Extractor).LinearScoresInto" || \
 			$$3 == "repro/internal/hog.(*FPGAExtractor).fixedCellPass" || \
@@ -162,6 +170,7 @@ fuzz:
 	$(GO) test ./internal/hog -run '^$$' -fuzz '^FuzzFPGAGridInto$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/detect -run '^$$' -fuzz '^FuzzSequenceMatchesPerFrame$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/parrot -run '^$$' -fuzz '^FuzzParrotInference$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/svm -run '^$$' -fuzz '^FuzzTrainMatchesOracle$$' -fuzztime $(FUZZTIME)
 
 clean:
 	rm -f BENCH_obs.json BENCH_sim.json BENCH_detect.json

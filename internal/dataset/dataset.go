@@ -70,11 +70,20 @@ func (g *Generator) fillBackground(m *imgproc.Image) {
 	py := g.rng.Float64() * 6
 	amp := 0.05 + g.rng.Float64()*0.15
 	noise := 0.01 + g.rng.Float64()*0.04
+	// The texture is amp*sin(x)*cos(y), multiplied left to right, so
+	// amp*sin is taken once per column and cos once per row with the
+	// same roundings; the noise draws stay in pixel order.
+	col := make([]float64, m.W)
+	for x := range col {
+		col[x] = amp * math.Sin(float64(x)*fx+px)
+	}
 	for y := 0; y < m.H; y++ {
-		for x := 0; x < m.W; x++ {
-			v := base + amp*math.Sin(float64(x)*fx+px)*math.Cos(float64(y)*fy+py)
+		c := math.Cos(float64(y)*fy + py)
+		row := m.Pix[y*m.W : (y+1)*m.W]
+		for x, a := range col {
+			v := base + a*c
 			v += (g.rng.Float64() - 0.5) * 2 * noise
-			m.Set(x, y, v)
+			row[x] = v
 		}
 	}
 }

@@ -25,8 +25,14 @@ type Conv2D struct {
 
 	vel, velB    []float64
 	gradW, gradB []float64
-	lastIn       []float64
-	lastPre      []float64
+
+	// The training passes run one example at a time: lastIn and
+	// lastPre hold each lane's input and pre-activations, out and
+	// gradIn the lane-interleaved outputs and input gradients, and g
+	// and gi one lane's output and input gradients.
+	lastIn, lastPre [Lanes][]float64
+	out, gradIn     []float64
+	g, gi           []float64
 }
 
 // NewConv2D returns a grouped convolution layer. InC and OutC must be
@@ -153,39 +159,68 @@ func (c *Conv2D) Forward(x []float64) []float64 {
 	return out
 }
 
-// ForwardTrain is Forward with caching for Backward.
-func (c *Conv2D) ForwardTrain(x []float64) []float64 {
-	c.lastIn = append(c.lastIn[:0], x...)
-	out := make([]float64, c.OutDim())
-	c.preact(x, out)
-	c.lastPre = append(c.lastPre[:0], out...)
-	for i, v := range out {
-		if v >= 0 {
-			out[i] = 1
-		} else {
-			out[i] = 0
+// trainForward runs the first n lanes of a group of lane-interleaved
+// inputs x through the per-example pass, one lane at a time, and
+// caches each lane's input and pre-activations for trainBackward. It
+// reads floats only, so it returns no spike frame.
+func (c *Conv2D) trainForward(x []float64, _ []uint64, n int) ([]float64, []uint64) {
+	c.out = growFloats(c.out, c.OutDim()*Lanes)
+	for l := 0; l < n; l++ {
+		in := growFloats(c.lastIn[l], c.InDim())
+		for i := range in {
+			in[i] = x[i*Lanes+l]
 		}
+		pre := growFloats(c.lastPre[l], c.OutDim())
+		c.preact(in, pre)
+		for k, v := range pre {
+			c.out[k*Lanes+l] = float64(b2i(v >= 0))
+		}
+		c.lastIn[l], c.lastPre[l] = in, pre
 	}
-	return out
+	return c.out, nil
 }
 
-// Backward accumulates gradients and returns the input gradient.
-func (c *Conv2D) Backward(gradOut []float64) []float64 {
-	if len(gradOut) != c.OutDim() {
-		//lint:allow errpanic dimension mismatch is a network-wiring bug; error returns would burden every training step
-		panic("eedn: conv backward dim mismatch")
+// trainBackward runs the per-example backward pass of the first n
+// lanes in lane order, which is example order, and, when needIn is
+// set, returns their input gradients lane-interleaved.
+func (c *Conv2D) trainBackward(gradOut []float64, n int, needIn bool) []float64 {
+	c.g = growFloats(c.g, c.OutDim())
+	var gi []float64
+	if needIn {
+		c.gradIn = growFloats(c.gradIn, c.InDim()*Lanes)
+		c.gi = growFloats(c.gi, c.InDim())
+		gi = c.gi
 	}
+	for l := 0; l < n; l++ {
+		for k := range c.g {
+			c.g[k] = gradOut[k*Lanes+l]
+		}
+		clear(gi)
+		c.backward(c.lastIn[l], c.lastPre[l], c.g, gi)
+		for i, v := range gi {
+			c.gradIn[i*Lanes+l] = v
+		}
+	}
+	if !needIn {
+		return nil
+	}
+	return c.gradIn
+}
+
+// backward accumulates the parameter gradients of one example, given
+// its input in, pre-activations pre and output gradient gradOut, and
+// adds its input gradient into gradIn unless gradIn is nil.
+func (c *Conv2D) backward(in, pre, gradOut, gradIn []float64) {
 	oh, ow := c.OutH(), c.OutW()
 	icg := c.InC / c.Groups
 	ocg := c.OutC / c.Groups
 	norm := 1 / math.Sqrt(float64(c.FanIn()))
-	gradIn := make([]float64, c.InDim())
 	for oc := 0; oc < c.OutC; oc++ {
 		g := oc / ocg
 		wBase := oc * icg * c.K * c.K
 		for oy := 0; oy < oh; oy++ {
 			for ox := 0; ox < ow; ox++ {
-				go_ := gradOut[oc*oh*ow+oy*ow+ox] * steWindow(c.lastPre[oc*oh*ow+oy*ow+ox])
+				go_ := gradOut[oc*oh*ow+oy*ow+ox] * steWindow(pre[oc*oh*ow+oy*ow+ox])
 				if go_ == 0 {
 					continue
 				}
@@ -198,7 +233,10 @@ func (c *Conv2D) Backward(gradOut []float64) []float64 {
 						xRow := inC*c.InH*c.InW + iy*c.InW + ox*c.Stride
 						wRow := wBase + ic*c.K*c.K + ky*c.K
 						for kx := 0; kx < c.K; kx++ {
-							c.gradW[wRow+kx] += gn * c.lastIn[xRow+kx]
+							c.gradW[wRow+kx] += gn * in[xRow+kx]
+							if gradIn == nil {
+								continue
+							}
 							w := c.Hidden[wRow+kx]
 							switch {
 							case w >= TrinaryDeadZone:
@@ -212,7 +250,6 @@ func (c *Conv2D) Backward(gradOut []float64) []float64 {
 			}
 		}
 	}
-	return gradIn
 }
 
 // Update applies SGD with momentum and weight clipping.

@@ -176,6 +176,23 @@ func TestTrainErrors(t *testing.T) {
 	if _, err := net.Train([][]float64{{1, 2}}, [][]float64{{1}}, DefaultTrainConfig()); err == nil {
 		t.Error("bad dims should error")
 	}
+	xs, ys := [][]float64{{1, 0, 1, 0}}, [][]float64{{1}}
+	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		for _, c := range []struct {
+			name string
+			set  func(*TrainConfig)
+		}{
+			{"LR", func(c *TrainConfig) { c.LR = v }},
+			{"Momentum", func(c *TrainConfig) { c.Momentum = v }},
+			{"LRDecay", func(c *TrainConfig) { c.LRDecay = v }},
+		} {
+			cfg := DefaultTrainConfig()
+			c.set(&cfg)
+			if _, err := net.Train(xs, ys, cfg); err == nil {
+				t.Errorf("%s = %v should error", c.name, v)
+			}
+		}
+	}
 }
 
 func TestBinarizeDeterministicRateCode(t *testing.T) {

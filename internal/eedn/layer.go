@@ -87,13 +87,20 @@ type Dense struct {
 	// goroutines while parrot.Train's probe shares a training network.
 	deployed atomic.Pointer[synapseRows]
 
-	// training state
+	// training state: the momentum velocities and gradient
+	// accumulators, then the planes of the last training pass, Lanes
+	// examples lane-interleaved: its inputs (a plane of the trainer or
+	// of the layer below), pre-activations, outputs and their spikes,
+	// and the input gradients of its backward pass
 	vel     []float64 // momentum for weights
 	velB    []float64
-	lastIn  []float64
-	lastPre []float64
 	gradW   []float64
 	gradB   []float64
+	lastIn  []float64
+	lastPre []float64
+	out     []float64
+	spikes  []uint64
+	gradIn  []float64
 }
 
 // NewDense returns a dense layer with hidden weights initialized
@@ -215,83 +222,136 @@ func (d *Dense) Forward(x []float64) []float64 {
 	return out
 }
 
-// ForwardTrain is Forward with caching for Backward.
-func (d *Dense) ForwardTrain(x []float64) []float64 {
-	d.lastIn = append(d.lastIn[:0], x...)
-	out := make([]float64, d.Out)
-	d.preact(x, out)
-	d.lastPre = append(d.lastPre[:0], out...)
-	if !d.Linear {
-		for j, v := range out {
-			if v >= 0 {
-				out[j] = 1
-			} else {
-				out[j] = 0
+// trainForward runs the training pass of one group of examples,
+// lane-interleaved as in the inference kernel: x holds their inputs
+// and f, when not nil, the same inputs as a spike frame, which inputs
+// of 0 and 1 allow. The lanes run through floatLanes or spikeLanes,
+// which match preact per lane bit for bit. It caches x and the
+// pre-activations for trainBackward and returns the outputs, and for a
+// threshold layer their spike frame too. Lanes past the group's
+// examples are computed and ignored.
+func (d *Dense) trainForward(x []float64, f []uint64, _ int) ([]float64, []uint64) {
+	d.lastIn = x
+	d.lastPre = growFloats(d.lastPre, d.Out*Lanes)
+	norm := 1 / math.Sqrt(float64(d.In))
+	if f != nil {
+		spikeLanes(d.synapses(), f, norm, d.Bias, d.lastPre)
+	} else {
+		floatLanes(d.synapses(), x, norm, d.Bias, d.lastPre)
+	}
+	if d.Linear {
+		return d.lastPre, nil
+	}
+	d.out = growFloats(d.out, len(d.lastPre))
+	for k, v := range d.lastPre {
+		d.out[k] = float64(b2i(v >= 0))
+	}
+	d.spikes = growWords(d.spikes, SpikeWords(d.Out)*Lanes)
+	packSpikes(d.spikes, d.lastPre, Lanes)
+	return d.out, d.spikes
+}
+
+// trainBackward accumulates the parameter gradients of the first n
+// lanes of the last training pass from their output gradients gradOut
+// and, when needIn is set, returns their input gradients; the first
+// layer of a network has no consumer for those, which for wide feature
+// inputs saves a large part of the pass. The threshold activation's
+// derivative is the straight-through triangular window, and weight
+// gradients flow to the hidden weights as if the deployed weight were
+// the hidden value (the BinaryConnect/Eedn convention).
+//
+// Each accumulator gets the lanes' terms in ascending lane order, which
+// is example order, and a lane adds nothing where its gradient is 0,
+// so every sum is the one-example-at-a-time pass's bit for bit. A
+// weight row is read and written once per group instead of once per
+// example.
+func (d *Dense) trainBackward(gradOut []float64, n int, needIn bool) []float64 {
+	norm := 1 / math.Sqrt(float64(d.In))
+	var rows synapseRows
+	if needIn {
+		d.gradIn = growFloats(d.gradIn, d.In*Lanes)
+		clear(d.gradIn)
+		rows = d.synapses()
+	}
+	var live [Lanes]int
+	var gn [Lanes]float64
+	for j := 0; j < d.Out; j++ {
+		k := 0
+		for l := 0; l < n; l++ {
+			g := gradOut[j*Lanes+l]
+			if !d.Linear {
+				g *= steWindow(d.lastPre[j*Lanes+l])
+			}
+			if g == 0 {
+				continue
+			}
+			d.gradB[j] += g
+			live[k], gn[k] = l, g*norm
+			k++
+		}
+		if k == 0 {
+			continue
+		}
+		accumulateLanes(d.gradW[j*d.In:(j+1)*d.In], d.lastIn, gn[:k], live[:k])
+		if needIn {
+			// 1*g is g and s + -1*g is s - g, so adding sgn*g per
+			// synapse is adding or subtracting g per nonzero weight.
+			for _, e := range rows[j].syn {
+				v := d.gradIn[e.in*Lanes : e.in*Lanes+Lanes : e.in*Lanes+Lanes]
+				for i, l := range live[:k] {
+					v[l&(Lanes-1)] += e.sgn * gn[i]
+				}
 			}
 		}
 	}
-	return out
+	if !needIn {
+		return nil
+	}
+	return d.gradIn
 }
 
-// Backward accumulates parameter gradients for the cached forward pass
-// and returns the gradient with respect to the input. The threshold
-// activation's derivative uses the straight-through triangular window;
-// weight gradients flow to the hidden weights as if the deployed
-// weight were the hidden value (the BinaryConnect/Eedn convention).
-func (d *Dense) Backward(gradOut []float64) []float64 {
-	if len(gradOut) != d.Out {
-		//lint:allow errpanic dimension mismatch is a network-wiring bug; error returns would burden every training step
-		panic("eedn: dense backward dim mismatch")
-	}
-	norm := 1 / math.Sqrt(float64(d.In))
-	gradIn := make([]float64, d.In)
-	for j := 0; j < d.Out; j++ {
-		g := gradOut[j]
-		if !d.Linear {
-			g *= steWindow(d.lastPre[j])
+// accumulateLanes adds g[k]*x[i*Lanes+ls[k]] to acc[i] for every i,
+// in ascending k: the terms one neuron's weight gradients get from the
+// live lanes ls of a group, whose inputs x are lane-interleaved.
+func accumulateLanes(acc, x, g []float64, ls []int) {
+	x = x[:len(acc)*Lanes]
+	switch len(ls) {
+	case 1:
+		g0, l0 := g[0], ls[0]
+		for i := range acc {
+			acc[i] += g0 * x[i*Lanes+l0]
 		}
-		if g == 0 {
-			continue
+	case 2:
+		g0, g1 := g[0], g[1]
+		l0, l1 := ls[0]&(Lanes-1), ls[1]&(Lanes-1)
+		for i := range acc {
+			v := x[i*Lanes : i*Lanes+Lanes : i*Lanes+Lanes]
+			a := acc[i]
+			a += g0 * v[l0]
+			a += g1 * v[l1]
+			acc[i] = a
 		}
-		d.gradB[j] += g
-		row := d.Hidden[j*d.In : (j+1)*d.In]
-		gRow := d.gradW[j*d.In : (j+1)*d.In]
-		gn := g * norm
-		for i := range row {
-			gRow[i] += gn * d.lastIn[i]
-			switch {
-			case row[i] >= TrinaryDeadZone:
-				gradIn[i] += gn
-			case row[i] <= -TrinaryDeadZone:
-				gradIn[i] -= gn
-			}
+	case 3:
+		g0, g1, g2 := g[0], g[1], g[2]
+		l0, l1, l2 := ls[0]&(Lanes-1), ls[1]&(Lanes-1), ls[2]&(Lanes-1)
+		for i := range acc {
+			v := x[i*Lanes : i*Lanes+Lanes : i*Lanes+Lanes]
+			a := acc[i]
+			a += g0 * v[l0]
+			a += g1 * v[l1]
+			a += g2 * v[l2]
+			acc[i] = a
 		}
-	}
-	return gradIn
-}
-
-// BackwardParamsOnly accumulates parameter gradients without
-// computing the input gradient — valid only for the first layer of a
-// network, where nothing consumes it.
-func (d *Dense) BackwardParamsOnly(gradOut []float64) {
-	if len(gradOut) != d.Out {
-		//lint:allow errpanic dimension mismatch is a network-wiring bug; error returns would burden every training step
-		panic("eedn: dense backward dim mismatch")
-	}
-	norm := 1 / math.Sqrt(float64(d.In))
-	for j := 0; j < d.Out; j++ {
-		g := gradOut[j]
-		if !d.Linear {
-			g *= steWindow(d.lastPre[j])
-		}
-		if g == 0 {
-			continue
-		}
-		d.gradB[j] += g
-		gRow := d.gradW[j*d.In : (j+1)*d.In]
-		gn := g * norm
-		for i, x := range d.lastIn {
-			gRow[i] += gn * x
+	default: // all Lanes lanes, 0 to 3
+		g0, g1, g2, g3 := g[0], g[1], g[2], g[3]
+		for i := range acc {
+			v := x[i*Lanes : i*Lanes+Lanes : i*Lanes+Lanes]
+			a := acc[i]
+			a += g0 * v[0]
+			a += g1 * v[1]
+			a += g2 * v[2]
+			a += g3 * v[3]
+			acc[i] = a
 		}
 	}
 }
@@ -308,18 +368,24 @@ func (d *Dense) Update(lr, momentum float64, batch int) {
 	prev := d.deployed.Load()
 	var next synapseRows
 	for j := 0; j < d.Out; j++ {
+		h := d.Hidden[j*d.In : (j+1)*d.In]
+		vel := d.vel[j*d.In : (j+1)*d.In]
+		grad := d.gradW[j*d.In : (j+1)*d.In]
+		vel, grad = vel[:len(h)], grad[:len(h)]
 		flips := 0
-		for i := j * d.In; i < (j+1)*d.In; i++ {
-			was := trinary(d.Hidden[i])
-			d.vel[i] = momentum*d.vel[i] - lr*d.gradW[i]*inv
-			d.Hidden[i] += d.vel[i]
-			if d.Hidden[i] > 1 {
-				d.Hidden[i] = 1
-			} else if d.Hidden[i] < -1 {
-				d.Hidden[i] = -1
+		for i, w := range h {
+			was := trinary(w)
+			v := momentum*vel[i] - lr*grad[i]*inv
+			vel[i] = v
+			w += v
+			if w > 1 {
+				w = 1
+			} else if w < -1 {
+				w = -1
 			}
-			d.gradW[i] = 0
-			flips |= was ^ trinary(d.Hidden[i])
+			h[i] = w
+			grad[i] = 0
+			flips |= was ^ trinary(w)
 		}
 		// Few weights cross the dead-zone edge in one step, so only
 		// the rows they are in are derived again; published rows are

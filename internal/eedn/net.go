@@ -2,17 +2,21 @@ package eedn
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 )
 
 // Layer is one stage of an Eedn network.
 type Layer interface {
 	Forward(x []float64) []float64
-	ForwardTrain(x []float64) []float64
-	Backward(gradOut []float64) []float64
 	Update(lr, momentum float64, batch int)
 	InDim() int
 	OutDim() int
+
+	// trainForward and trainBackward are the training passes of one
+	// group of up to Lanes examples, which Network.Train describes.
+	trainForward(x []float64, f []uint64, n int) ([]float64, []uint64)
+	trainBackward(gradOut []float64, n int, needIn bool) []float64
 }
 
 // Network is a stack of Eedn layers trained by backpropagation on the
@@ -49,32 +53,24 @@ func (n *Network) Forward(x []float64) []float64 {
 	return x
 }
 
-// forwardTrain runs a cached pass for training.
-func (n *Network) forwardTrain(x []float64) []float64 {
+// trainForward runs the training pass of a group whose examples fill
+// the first filled lanes of x and returns the last layer's outputs. A
+// threshold layer hands its outputs on as floats and as spikes.
+func (n *Network) trainForward(x []float64, filled int) []float64 {
+	var f []uint64
 	for _, l := range n.Layers {
-		x = l.ForwardTrain(x)
+		x, f = l.trainForward(x, f, filled)
 	}
 	return x
 }
 
-// paramsOnlyBackward is implemented by layers that can skip the
-// input-gradient computation; the first layer of a network has no
-// upstream consumer, which for wide feature inputs saves a large
-// fraction of the backward pass.
-type paramsOnlyBackward interface {
-	BackwardParamsOnly(gradOut []float64)
-}
-
-// backward propagates the output gradient down the stack.
-func (n *Network) backward(g []float64) {
-	for i := len(n.Layers) - 1; i > 0; i-- {
-		g = n.Layers[i].Backward(g)
+// trainBackward propagates the group's output gradients g down the
+// stack. The first layer's input gradient has no consumer, so it is
+// not computed.
+func (n *Network) trainBackward(g []float64, filled int) {
+	for i := len(n.Layers) - 1; i >= 0; i-- {
+		g = n.Layers[i].trainBackward(g, filled, i > 0)
 	}
-	if p, ok := n.Layers[0].(paramsOnlyBackward); ok {
-		p.BackwardParamsOnly(g)
-		return
-	}
-	n.Layers[0].Backward(g)
 }
 
 // update applies one optimizer step to every layer.
@@ -120,6 +116,15 @@ func DefaultTrainConfig() TrainConfig {
 
 // Train fits the network to (xs, ys) and returns the final epoch's
 // mean loss.
+//
+// Hidden weights change only in Update, at the end of each batch, so a
+// batch's forward passes do not depend on one another: the trainer runs
+// each batch in groups of up to Lanes examples, one pass per group
+// through every layer, with the examples lane-interleaved as in the
+// inference kernel. Loss and output gradient are computed per example
+// in example order, and every layer adds a group's gradient terms to
+// each accumulator in example order, so the trained weights are those
+// of a pass per example bit for bit.
 func (n *Network) Train(xs, ys [][]float64, cfg TrainConfig) (float64, error) {
 	if len(xs) == 0 || len(xs) != len(ys) {
 		return 0, fmt.Errorf("eedn: train set sizes %d/%d", len(xs), len(ys))
@@ -130,6 +135,14 @@ func (n *Network) Train(xs, ys [][]float64, cfg TrainConfig) (float64, error) {
 				i, len(xs[i]), len(ys[i]), n.InDim(), n.OutDim())
 		}
 	}
+	for _, p := range [...]struct {
+		name string
+		v    float64
+	}{{"LR", cfg.LR}, {"Momentum", cfg.Momentum}, {"LRDecay", cfg.LRDecay}} {
+		if math.IsNaN(p.v) || math.IsInf(p.v, 0) {
+			return 0, fmt.Errorf("eedn: %s = %v is not finite", p.name, p.v)
+		}
+	}
 	if cfg.BatchSize <= 0 {
 		cfg.BatchSize = 16
 	}
@@ -138,6 +151,10 @@ func (n *Network) Train(xs, ys [][]float64, cfg TrainConfig) (float64, error) {
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	order := rng.Perm(len(xs))
+	x := make([]float64, n.InDim()*Lanes)     // a group's inputs
+	grad := make([]float64, n.OutDim()*Lanes) // their output gradients
+	out := make([]float64, n.OutDim())        // one example's outputs
+	g := make([]float64, n.OutDim())          // and output gradient
 	lr := cfg.LR
 	var epochLoss float64
 	for epoch := 0; epoch < cfg.Epochs; epoch++ {
@@ -148,20 +165,28 @@ func (n *Network) Train(xs, ys [][]float64, cfg TrainConfig) (float64, error) {
 			order[i], order[j] = order[j], order[i]
 		}
 		epochLoss = 0
-		inBatch := 0
-		for _, idx := range order {
-			out := n.forwardTrain(xs[idx])
-			grad := make([]float64, len(out))
-			epochLoss += lossAndGrad(cfg.Loss, out, ys[idx], grad)
-			n.backward(grad)
-			inBatch++
-			if inBatch == cfg.BatchSize {
-				n.update(lr, cfg.Momentum, inBatch)
-				inBatch = 0
+		for b := 0; b < len(order); b += cfg.BatchSize {
+			batch := order[b:min(b+cfg.BatchSize, len(order))]
+			for k := 0; k < len(batch); k += Lanes {
+				group := batch[k:min(k+Lanes, len(batch))]
+				for l, idx := range group {
+					for i, v := range xs[idx] {
+						x[i*Lanes+l] = v
+					}
+				}
+				y := n.trainForward(x, len(group))
+				for l, idx := range group {
+					for i := range out {
+						out[i] = y[i*Lanes+l]
+					}
+					epochLoss += lossAndGrad(cfg.Loss, out, ys[idx], g)
+					for i, v := range g {
+						grad[i*Lanes+l] = v
+					}
+				}
+				n.trainBackward(grad, len(group))
 			}
-		}
-		if inBatch > 0 {
-			n.update(lr, cfg.Momentum, inBatch)
+			n.update(lr, cfg.Momentum, len(batch))
 		}
 		epochLoss /= float64(len(xs))
 		obsEpochEnd(epoch, epochLoss, len(xs), epochStart)

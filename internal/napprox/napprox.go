@@ -145,8 +145,10 @@ func (c Config) Validate() error {
 		return fmt.Errorf("napprox: SpikeWindow %d < 0", c.SpikeWindow)
 	case c.WeightScale < 0:
 		return fmt.Errorf("napprox: WeightScale %d < 0", c.WeightScale)
-	case c.VoteThreshold < 0:
-		return fmt.Errorf("napprox: VoteThreshold %v < 0", c.VoteThreshold)
+	case !(c.VoteThreshold >= 0):
+		// NaN fails every comparison, so argmax voting would cast no
+		// vote at all.
+		return fmt.Errorf("napprox: VoteThreshold %v is negative or NaN", c.VoteThreshold)
 	case c.Mode != VoteArgmax && c.Mode != VoteRace:
 		return fmt.Errorf("napprox: unknown vote mode %d", int(c.Mode))
 	}

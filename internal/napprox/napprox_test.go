@@ -47,6 +47,12 @@ func TestConfigValidate(t *testing.T) {
 			t.Errorf("case %d should be invalid", i)
 		}
 	}
+	for _, c := range []Config{TrueNorthConfig(), FullPrecision()} {
+		c.VoteThreshold = math.NaN()
+		if err := c.Validate(); err == nil {
+			t.Errorf("%v config with a NaN VoteThreshold passed Validate", c.Mode)
+		}
+	}
 	if VoteArgmax.String() != "argmax" || VoteRace.String() != "race" {
 		t.Error("vote mode stringers")
 	}

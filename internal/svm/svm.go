@@ -12,6 +12,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
 	"time"
 
@@ -25,18 +26,21 @@ type Model struct {
 	B float64   `json:"b"`
 }
 
-// Score returns the decision value for x. The loop computes four
-// products per iteration but adds them in index order, so the sum is
-// the one-product loop's bit for bit. Its speed does not depend on
-// where the linker places it, which the one-product loop's did
-// (DESIGN §7).
+// Score returns the decision value for x, summed by dot.
 func (m *Model) Score(x []float64) float64 {
 	if len(x) != len(m.W) {
 		//lint:allow errpanic feature-dimension mismatch is a pipeline-wiring bug; Score sits in the per-window hot path
 		panic(fmt.Sprintf("svm: score input %d, want %d", len(x), len(m.W)))
 	}
-	w := m.W
-	s := m.B
+	return dot(m.B, m.W, x)
+}
+
+// dot returns s plus w[i]*x[i] for every i of w, added in index order.
+// It computes four products per iteration and adds them in that order,
+// so the sum is a one-product loop's bit for bit, at a speed that does
+// not depend on where the linker places the loop (DESIGN §7).
+func dot(s float64, w, x []float64) float64 {
+	x = x[:len(w)]
 	i := 0
 	for ; i+4 <= len(w); i += 4 {
 		s += w[i] * x[i]
@@ -48,6 +52,23 @@ func (m *Model) Score(x []float64) float64 {
 		s += w[i] * x[i]
 	}
 	return s
+}
+
+// axpy adds d*x[i] to w[i] for every i of w, four elements per
+// iteration. Each element is one multiply and one add on its own
+// weight, so any number per iteration gives the same weights.
+func axpy(w []float64, d float64, x []float64) {
+	x = x[:len(w)]
+	i := 0
+	for ; i+4 <= len(w); i += 4 {
+		w[i] += d * x[i]
+		w[i+1] += d * x[i+1]
+		w[i+2] += d * x[i+2]
+		w[i+3] += d * x[i+3]
+	}
+	for ; i < len(w); i++ {
+		w[i] += d * x[i]
+	}
 }
 
 // Save writes the model as JSON.
@@ -95,8 +116,13 @@ func Train(pos, neg [][]float64, opt TrainOptions) (*Model, error) {
 			return nil, errors.New("svm: inconsistent descriptor lengths")
 		}
 	}
-	if opt.C <= 0 {
-		return nil, fmt.Errorf("svm: C = %v must be positive", opt.C)
+	switch {
+	case !(opt.C > 0) || math.IsInf(opt.C, 1):
+		return nil, fmt.Errorf("svm: C = %v must be positive and finite", opt.C)
+	case !(opt.Tol >= 0) || math.IsInf(opt.Tol, 1):
+		return nil, fmt.Errorf("svm: Tol = %v must be non-negative and finite", opt.Tol)
+	case !(opt.BiasScale >= 0) || math.IsInf(opt.BiasScale, 1):
+		return nil, fmt.Errorf("svm: BiasScale = %v must be non-negative and finite", opt.BiasScale)
 	}
 	if opt.Epochs <= 0 {
 		opt.Epochs = 60
@@ -151,14 +177,11 @@ func Train(pos, neg [][]float64, opt TrainOptions) (*Model, error) {
 			yi := ys[i]
 			// G = y_i * w.x_i - 1
 			g := -1.0
-			dot := 0.0
-			for k, v := range x {
-				dot += w[k] * v
-			}
+			wx := dot(0, w[:dim], x)
 			if opt.BiasScale > 0 {
-				dot += w[dim] * opt.BiasScale
+				wx += w[dim] * opt.BiasScale
 			}
-			g += yi * dot
+			g += yi * wx
 			// Projected gradient.
 			pg := g
 			if alpha[i] <= 0 && g > 0 {
@@ -186,9 +209,7 @@ func Train(pos, neg [][]float64, opt TrainOptions) (*Model, error) {
 			alpha[i] = na
 			d := (na - old) * yi
 			if d != 0 {
-				for k, v := range x {
-					w[k] += d * v
-				}
+				axpy(w[:dim], d, x)
 				if opt.BiasScale > 0 {
 					w[dim] += d * opt.BiasScale
 				}

@@ -68,10 +68,35 @@ func TestTrainErrors(t *testing.T) {
 	if _, err := Train([][]float64{{1, 2}}, [][]float64{{1}}, DefaultTrainOptions()); err == nil {
 		t.Error("ragged descriptors should error")
 	}
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, c := range []struct {
+		name string
+		set  func(*TrainOptions)
+	}{
+		{"C = 0", func(o *TrainOptions) { o.C = 0 }},
+		{"C = -1", func(o *TrainOptions) { o.C = -1 }},
+		{"C = NaN", func(o *TrainOptions) { o.C = nan }},
+		{"C = +Inf", func(o *TrainOptions) { o.C = inf }},
+		{"C = -Inf", func(o *TrainOptions) { o.C = -inf }},
+		{"Tol = -1", func(o *TrainOptions) { o.Tol = -1 }},
+		{"Tol = NaN", func(o *TrainOptions) { o.Tol = nan }},
+		{"Tol = +Inf", func(o *TrainOptions) { o.Tol = inf }},
+		{"Tol = -Inf", func(o *TrainOptions) { o.Tol = -inf }},
+		{"BiasScale = -1", func(o *TrainOptions) { o.BiasScale = -1 }},
+		{"BiasScale = NaN", func(o *TrainOptions) { o.BiasScale = nan }},
+		{"BiasScale = +Inf", func(o *TrainOptions) { o.BiasScale = inf }},
+		{"BiasScale = -Inf", func(o *TrainOptions) { o.BiasScale = -inf }},
+	} {
+		opt := DefaultTrainOptions()
+		c.set(&opt)
+		if _, err := Train([][]float64{{1}}, [][]float64{{-1}}, opt); err == nil {
+			t.Errorf("%s should error", c.name)
+		}
+	}
 	opt := DefaultTrainOptions()
-	opt.C = 0
-	if _, err := Train([][]float64{{1}}, [][]float64{{-1}}, opt); err == nil {
-		t.Error("non-positive C should error")
+	opt.Tol, opt.BiasScale = 0, 0
+	if _, err := Train([][]float64{{1}}, [][]float64{{-1}}, opt); err != nil {
+		t.Errorf("Tol = 0 and BiasScale = 0: %v", err)
 	}
 }
 
